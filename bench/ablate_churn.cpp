@@ -210,11 +210,12 @@ int main(int argc, char** argv) {
         }
 
         std::printf("   k=%4zu  -%zu edges +%zu edges ~%zu reweights  "
-                    "invalidated %zu in %zu rounds  anytime %8.4fs  "
+                    "invalidated %zu in %zu rounds (%zu pulled)  anytime %8.4fs  "
                     "restart %8.4fs  %.1fx\n",
                     k, churn.shrink.deletions.size(), churn.additions.size(),
                     churn.shrink.reweights.size(), report.invalidated_entries,
-                    report.cascade_rounds, anytime_delta, restart_seconds,
+                    report.cascade_rounds, report.pulled_entries, anytime_delta,
+                    restart_seconds,
                     restart_seconds / std::max(anytime_delta, 1e-12));
         rows.push_back({k, report, anytime_delta, restart_seconds, got});
     }
@@ -239,11 +240,13 @@ int main(int argc, char** argv) {
             buf, sizeof(buf),
             "    {\"churn_size\": %zu, \"deletions\": %zu, \"additions\": %zu, "
             "\"reweights\": %zu,\n     \"seed_suspects\": %zu, "
-            "\"invalidated_entries\": %zu, \"cascade_rounds\": %zu,\n"
+            "\"invalidated_entries\": %zu, \"cascade_rounds\": %zu, "
+            "\"pulled_entries\": %zu,\n"
             "     \"anytime_delta_s\": %.9f, \"restart_s\": %.9f, "
             "\"speedup\": %.2f, \"closeness_checksum\": \"%016llx\"}%s\n",
             r.k, r.k, r.k, r.k / 2, r.report.seed_suspects,
             r.report.invalidated_entries, r.report.cascade_rounds,
+            r.report.pulled_entries,
             r.anytime_delta, r.restart_seconds,
             r.restart_seconds / std::max(r.anytime_delta, 1e-12),
             static_cast<unsigned long long>(r.checksum),

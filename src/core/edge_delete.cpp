@@ -8,6 +8,8 @@
 // only the final propagate sweep runs as a backend phase, exactly like
 // edge addition's step 3.
 #include <algorithm>
+#include <bit>
+#include <cstring>
 #include <deque>
 #include <map>
 #include <set>
@@ -41,7 +43,152 @@ struct AffectedEdge {
 /// exact and the slack admits no extra suspect beyond exact ties.
 constexpr Weight kSuspectSlack = 1e-9;
 
+/// Pull-cache sentinels; distances are never negative.
+constexpr Weight kUnknown = -1.0;    // never asked
+constexpr Weight kRequested = -2.0;  // asked, reply in flight
+
+/// One rank's cache of the cross-rank distances its support checks read: a
+/// flat open-addressing table (linear probing, power-of-two capacity, load
+/// at most 1/2) from (external vertex, column) to the value last learned
+/// from the owner. Absent keys read as kUnknown.
+class PullCache {
+public:
+    Weight get(PullKey key) const {
+        if (keys_.empty()) {
+            return kUnknown;
+        }
+        const std::size_t i = probe(key);
+        return keys_[i] == key ? values_[i] : kUnknown;
+    }
+
+    /// The value slot for `key`, inserted as kUnknown if absent.
+    Weight& slot(PullKey key) {
+        if (2 * (size_ + 1) > keys_.size()) {
+            grow();
+        }
+        const std::size_t i = probe(key);
+        if (keys_[i] != key) {
+            keys_[i] = key;
+            values_[i] = kUnknown;
+            ++size_;
+        }
+        return values_[i];
+    }
+
+private:
+    // Vertex ids never equal kInvalidVertex, so no real key is all ones.
+    static constexpr PullKey kEmpty = ~PullKey{0};
+
+    /// The slot holding `key`, or the empty slot where it belongs.
+    std::size_t probe(PullKey key) const {
+        std::size_t i =
+            static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> shift_);
+        while (keys_[i] != key && keys_[i] != kEmpty) {
+            i = (i + 1) & (keys_.size() - 1);
+        }
+        return i;
+    }
+
+    void grow() {
+        std::vector<PullKey> keys = std::move(keys_);
+        std::vector<Weight> values = std::move(values_);
+        const std::size_t capacity = keys.empty() ? 1024 : 2 * keys.size();
+        keys_.assign(capacity, kEmpty);
+        values_.assign(capacity, kUnknown);
+        shift_ = 64 - static_cast<unsigned>(std::countr_zero(capacity));
+        size_ = 0;
+        for (std::size_t i = 0; i < keys.size(); ++i) {
+            if (keys[i] != kEmpty) {
+                slot(keys[i]) = values[i];
+            }
+        }
+    }
+
+    std::vector<PullKey> keys_;
+    std::vector<Weight> values_;
+    std::size_t size_{0};
+    unsigned shift_{64};
+};
+
+/// Per-rank cascade state.
+struct CascadeRank {
+    std::deque<std::pair<LocalId, VertexId>> queue;  // suspects to check
+    std::vector<std::pair<LocalId, VertexId>> parked;       // this round
+    std::vector<std::pair<LocalId, VertexId>> parked_prev;  // last round
+    PullCache cache;
+    std::vector<std::vector<PullKey>> requests;        // per owner, this round
+    std::vector<std::deque<std::vector<PullKey>>> asked;  // per owner, in flight
+    std::vector<std::pair<RankId, std::vector<PullKey>>> to_answer;
+};
+
 }  // namespace
+
+std::vector<std::byte> encode_pull_request(std::span<const PullKey> keys) {
+    Serializer out;
+    for (std::size_t i = 0; i < keys.size();) {
+        const VertexId x = pull_vertex(keys[i]);
+        std::size_t j = i + 1;
+        while (j < keys.size() && pull_vertex(keys[j]) == x) {
+            ++j;
+        }
+        out.write(x);
+        out.write_varint(j - i);
+        out.write_varint(pull_column(keys[i]));
+        for (std::size_t k = i + 1; k < j; ++k) {
+            AA_ASSERT(pull_column(keys[k]) > pull_column(keys[k - 1]));
+            out.write_varint(pull_column(keys[k]) - pull_column(keys[k - 1]));
+        }
+        AA_ASSERT(j == keys.size() || pull_vertex(keys[j]) > x);
+        i = j;
+    }
+    return out.take();
+}
+
+std::vector<PullKey> decode_pull_request(std::span<const std::byte> payload,
+                                         std::size_t num_columns,
+                                         const ShardOwnership& ownership,
+                                         RankId self) {
+    std::vector<PullKey> keys;
+    std::size_t cursor = 0;
+    while (cursor < payload.size()) {
+        AA_ASSERT_MSG(payload.size() - cursor >= sizeof(VertexId),
+                      "pull request header truncated");
+        VertexId x;
+        std::memcpy(&x, payload.data() + cursor, sizeof(VertexId));
+        cursor += sizeof(VertexId);
+        AA_ASSERT_MSG(ownership.owned_by(x, self),
+                      "pull request for a vertex the rank does not own");
+        const std::uint32_t count = read_varint_u32(payload, cursor);
+        // Every column takes at least one byte, which bounds a hostile count.
+        AA_ASSERT_MSG(count >= 1 && count <= payload.size() - cursor,
+                      "pull request column count exceeds payload");
+        std::uint64_t column = 0;
+        for (std::uint32_t i = 0; i < count; ++i) {
+            const std::uint32_t delta = read_varint_u32(payload, cursor);
+            AA_ASSERT_MSG(i == 0 || delta >= 1, "non-monotone pull column delta");
+            column += delta;
+            AA_ASSERT_MSG(column < num_columns, "pull column out of range");
+            keys.push_back(pull_key(x, static_cast<VertexId>(column)));
+        }
+    }
+    return keys;
+}
+
+std::vector<std::byte> encode_pull_reply(std::span<const Weight> values) {
+    const auto bytes = std::as_bytes(values);
+    return {bytes.begin(), bytes.end()};
+}
+
+std::vector<Weight> decode_pull_reply(std::span<const std::byte> payload,
+                                      std::size_t expected) {
+    AA_ASSERT_MSG(payload.size() == expected * sizeof(Weight),
+                  "pull reply value count differs from the request");
+    std::vector<Weight> values(expected);
+    if (expected != 0) {
+        std::memcpy(values.data(), payload.data(), payload.size());
+    }
+    return values;
+}
 
 ShrinkReport AnytimeEngine::apply_deletion(const ShrinkBatch& batch) {
     AA_ASSERT_MSG(initialized_, "initialize() must run before dynamic updates");
@@ -171,8 +318,11 @@ ShrinkReport AnytimeEngine::apply_deletion(const ShrinkBatch& batch) {
     // than it is now, and floating-point addition is monotone), so no stale
     // entry escapes. Entries that merely tie with an alternative support
     // survive the support check below.
-    std::vector<std::deque<std::pair<LocalId, VertexId>>> queue(num_ranks);
-    std::vector<std::set<VertexId>> rank_cols(num_ranks);
+    std::vector<CascadeRank> cr(num_ranks);
+    for (CascadeRank& c : cr) {
+        c.requests.resize(num_ranks);
+        c.asked.resize(num_ranks);
+    }
     const auto seed_endpoint = [&](VertexId u, VertexId v, Weight w_old) {
         const RankId ru = ownership_.owner(u);
         RankState& st = ranks_[ru];
@@ -192,8 +342,7 @@ ShrinkReport AnytimeEngine::apply_deletion(const ShrinkBatch& batch) {
             const Weight dv = row_v[t];
             if (du < kInfinity && dv < kInfinity &&
                 du >= w_old + dv - kSuspectSlack) {
-                queue[ru].push_back({lu, t});
-                rank_cols[ru].insert(t);
+                cr[ru].queue.push_back({lu, t});
                 ++rep.seed_suspects;
             }
         }
@@ -205,77 +354,131 @@ ShrinkReport AnytimeEngine::apply_deletion(const ShrinkBatch& batch) {
         seed_endpoint(a.v, a.u, a.w_old);
     }
 
-    if (rep.seed_suspects > 0) {
-        // ---- 4. Union of affected columns: every suspect ever enqueued
-        // keeps the column it was seeded with, so the union of the per-rank
-        // seed columns bounds everything the cascade can touch. Gathered at
-        // rank 0 and broadcast back (the per-rank external views below are
-        // restricted to these columns).
-        std::set<VertexId> union_cols;
-        for (RankId r = 0; r < num_ranks; ++r) {
-            if (r != 0 && !rank_cols[r].empty()) {
-                const std::vector<VertexId> cols(rank_cols[r].begin(),
-                                                 rank_cols[r].end());
-                Serializer out;
-                out.write_span(std::span<const VertexId>(cols));
-                cluster_->send(r, 0, MessageTag::ShrinkAffectedColumns,
-                               out.take());
-            }
-            union_cols.insert(rank_cols[r].begin(), rank_cols[r].end());
-        }
-        if (num_ranks > 1) {
-            cluster_->exchange();
-            for (const Message& m : cluster_->receive(0)) {
-                AA_ASSERT(m.tag == MessageTag::ShrinkAffectedColumns);
-                cluster_->charge_compute(
-                    0, static_cast<double>(m.bytes().size()) / sizeof(VertexId));
-            }
-        }
-        const std::vector<VertexId> cols_t(union_cols.begin(), union_cols.end());
-        dynamic_ops += static_cast<double>(cols_t.size());
-        std::vector<std::uint32_t> t_index(n, kInvalidVertex);
-        for (std::uint32_t i = 0; i < cols_t.size(); ++i) {
-            t_index[cols_t[i]] = i;
-        }
-        if (num_ranks > 1) {
-            Serializer out;
-            out.write_span(std::span<const VertexId>(cols_t));
-            cluster_->broadcast(0, MessageTag::ShrinkAffectedColumns, out.take());
-            for (RankId r = 1; r < num_ranks; ++r) {
-                (void)cluster_->receive(r);
-            }
-        }
-
-        // ---- 5. External views: each rank needs the affected columns of
-        // every external boundary vertex to run support checks across cut
-        // edges. Boundary rows restricted to the affected columns travel as
-        // regular boundary blocks in the configured wire format; a vertex
-        // with no finite affected column is simply absent (reads default to
-        // infinity, which matches its row).
-        std::vector<std::unordered_map<VertexId, std::vector<Weight>>> views(
-            num_ranks);
+    // ---- 4. Invalidation cascade to fixpoint. Each round every rank drains
+    // its suspect queue — support check against local rows and the pull
+    // cache; unsupported entries are invalidated, their local dependants
+    // re-suspected and their surviving local neighbours re-seeded for
+    // propagation — then answers the pulls it received last round and sends
+    // this round's raises and pulls, all riding one exchange. A raise
+    // re-suspects the dependants across cut edges and re-seeds surviving
+    // boundary rows for resending; it carries the pre-raise value, so the
+    // dependant test d(y, t) >= w(y, x) + pre is exactly the seed inequality
+    // one hop out and under-invalidation cannot occur. An entry is
+    // invalidated at most once, so the cascade terminates.
+    //
+    // A suspect with no support among the known values but an unknown
+    // external neighbour is parked and each unknown (x, t) pulled once. The
+    // owner answers in the next round, so everything parked in round r is
+    // resolved after round r + 1's exchange and goes back on the queue then.
+    // Values only move from finite to infinity while the cascade runs, so a
+    // stale finite reply is later overwritten by the matching raise ("infinity
+    // wins"); a support strictly lowers the value, so the fixpoint is unique
+    // and does not depend on when a value arrives.
+    const auto cascade_busy = [&] {
+        return std::any_of(cr.begin(), cr.end(), [](const CascadeRank& c) {
+            return !c.queue.empty() || !c.parked.empty() ||
+                   !c.parked_prev.empty() || !c.to_answer.empty();
+        });
+    };
+    std::vector<PullKey> missing;
+    while (cascade_busy()) {
+        ++rep.cascade_rounds;
         for (RankId p = 0; p < num_ranks; ++p) {
             RankState& st = ranks_[p];
+            CascadeRank& c = cr[p];
+            std::map<LocalId, std::vector<DvEntry>> raised;
+            double ops = 0;
+            while (!c.queue.empty()) {
+                const auto [l, t] = c.queue.front();
+                c.queue.pop_front();
+                const Weight cur = st.store.at(l, t);
+                if (!(cur < kInfinity) || st.sg.global_id(l) == t) {
+                    continue;  // already invalidated (or the diagonal)
+                }
+                bool supported = false;
+                bool waiting = false;
+                missing.clear();
+                for (const Neighbor& nb : st.sg.neighbors(l)) {
+                    ops += 1;
+                    const Weight dn = st.sg.owns(nb.to)
+                                          ? st.store.at(st.sg.local_id(nb.to), t)
+                                          : c.cache.get(pull_key(nb.to, t));
+                    if (dn == kRequested) {
+                        waiting = true;
+                        continue;
+                    }
+                    if (dn == kUnknown) {
+                        missing.push_back(pull_key(nb.to, t));
+                        continue;
+                    }
+                    if (dn < kInfinity && cur >= nb.weight + dn) {
+                        supported = true;
+                        break;
+                    }
+                }
+                if (supported) {
+                    continue;
+                }
+                if (waiting || !missing.empty()) {
+                    for (const PullKey key : missing) {
+                        c.cache.slot(key) = kRequested;
+                        c.requests[ownership_.owner(pull_vertex(key))].push_back(key);
+                    }
+                    c.parked.push_back({l, t});
+                    continue;
+                }
+                st.store.mark_invalidated(l, t);
+                ++rep.invalidated_entries;
+                for (const Neighbor& nb : st.sg.neighbors(l)) {
+                    ops += 1;
+                    if (!st.sg.owns(nb.to)) {
+                        continue;  // handled by the raise below
+                    }
+                    const LocalId ln = st.sg.local_id(nb.to);
+                    const Weight dn = st.store.at(ln, t);
+                    if (dn < kInfinity) {
+                        // The surviving neighbour owes the invalidated
+                        // entry a relaxation once re-settlement runs.
+                        st.store.mark_for_prop(ln, t);
+                        if (dn >= nb.weight + cur - kSuspectSlack) {
+                            c.queue.push_back({ln, t});
+                        }
+                    }
+                }
+                raised[l].push_back({t, cur});
+            }
+            // Answer last round's pulls with the values as they stand after
+            // this drain (possibly already raised to infinity).
+            std::vector<Weight> values;
+            for (const auto& [dest, keys] : c.to_answer) {
+                values.clear();
+                for (const PullKey key : keys) {
+                    values.push_back(st.store.at(st.sg.local_id(pull_vertex(key)),
+                                                 pull_column(key)));
+                }
+                ops += static_cast<double>(keys.size());
+                cluster_->send(p, dest, MessageTag::ShrinkViewReply,
+                               encode_pull_reply(values));
+            }
+            c.to_answer.clear();
+            // Ship the raises: one block per invalidated row, columns
+            // ascending (map order per row; per-column at most one raise),
+            // replicated to every rank sharing a cut edge with the row.
             std::vector<std::vector<BoundaryBlock>> per_dest(num_ranks);
             std::vector<std::size_t> dest_entries(num_ranks, 0);
-            double ops = 0;
-            for (LocalId l = 0; l < st.sg.num_local(); ++l) {
+            for (auto& [l, entries] : raised) {
+                std::sort(entries.begin(), entries.end(),
+                          [](const DvEntry& a, const DvEntry& b) {
+                              return a.column < b.column;
+                          });
                 const auto destinations = st.sg.neighbor_ranks(l);
                 if (destinations.empty()) {
                     continue;
                 }
                 BoundaryBlock block;
                 block.vertex = st.sg.global_id(l);
-                const auto row = st.store.row(l);
-                for (const VertexId t : cols_t) {
-                    if (row[t] < kInfinity) {
-                        block.entries.push_back({t, row[t]});
-                    }
-                }
-                ops += static_cast<double>(cols_t.size());
-                if (block.entries.empty()) {
-                    continue;
-                }
+                block.entries = std::move(entries);
+                ops += static_cast<double>(block.entries.size());
                 for (const RankId dest : destinations) {
                     dest_entries[dest] += block.entries.size();
                     per_dest[dest].push_back(block);
@@ -285,11 +488,25 @@ ShrinkReport AnytimeEngine::apply_deletion(const ShrinkBatch& batch) {
                 if (per_dest[dest].empty()) {
                     continue;
                 }
-                ops += static_cast<double>(dest_entries[dest]);
-                cluster_->send(p, dest, MessageTag::ShrinkBoundaryView,
+                cluster_->send(p, dest, MessageTag::ShrinkRaise,
                                encode_boundary_blocks(per_dest[dest],
                                                       config_.wire_format),
                                dest_entries[dest]);
+            }
+            // Ship the pulls, one sorted request per owner; the reply comes
+            // back in the same order, matched through the FIFO.
+            for (RankId owner = 0; owner < num_ranks; ++owner) {
+                auto& keys = c.requests[owner];
+                if (keys.empty()) {
+                    continue;
+                }
+                std::sort(keys.begin(), keys.end());
+                ops += static_cast<double>(keys.size());
+                rep.pulled_entries += keys.size();
+                cluster_->send(p, owner, MessageTag::ShrinkViewRequest,
+                               encode_pull_request(keys));
+                c.asked[owner].push_back(std::move(keys));
+                keys.clear();
             }
             cluster_->charge_compute(p, ops);
             dynamic_ops += ops;
@@ -298,173 +515,62 @@ ShrinkReport AnytimeEngine::apply_deletion(const ShrinkBatch& batch) {
             cluster_->exchange();
         }
         for (RankId p = 0; p < num_ranks; ++p) {
+            RankState& st = ranks_[p];
+            CascadeRank& c = cr[p];
             double ops = 0;
             for (const Message& m : cluster_->receive(p)) {
-                AA_ASSERT(m.tag == MessageTag::ShrinkBoundaryView);
+                if (m.tag == MessageTag::ShrinkViewRequest) {
+                    c.to_answer.emplace_back(
+                        m.from, decode_pull_request(m.bytes(), n, ownership_, p));
+                    continue;
+                }
+                if (m.tag == MessageTag::ShrinkViewReply) {
+                    AA_ASSERT_MSG(!c.asked[m.from].empty(), "unsolicited pull reply");
+                    const std::vector<PullKey> keys =
+                        std::move(c.asked[m.from].front());
+                    c.asked[m.from].pop_front();
+                    const auto values = decode_pull_reply(m.bytes(), keys.size());
+                    for (std::size_t i = 0; i < keys.size(); ++i) {
+                        Weight& slot = c.cache.slot(keys[i]);
+                        if (slot == kRequested) {
+                            slot = values[i];  // a raise that got here first wins
+                        }
+                    }
+                    ops += static_cast<double>(keys.size());
+                    continue;
+                }
+                AA_ASSERT(m.tag == MessageTag::ShrinkRaise);
                 for (const BoundaryBlock& block :
                      decode_boundary_blocks(m.bytes(), config_.wire_format)) {
-                    auto& view = views[p][block.vertex];
-                    view.assign(cols_t.size(), kInfinity);
                     for (const DvEntry& e : block.entries) {
-                        AA_ASSERT(t_index[e.column] != kInvalidVertex);
-                        view[t_index[e.column]] = e.distance;
-                    }
-                    ops += static_cast<double>(block.entries.size());
-                }
-            }
-            cluster_->charge_compute(p, ops);
-            dynamic_ops += ops;
-        }
-
-        // ---- 6. Invalidation cascade to fixpoint. Each round drains every
-        // rank's suspect queue (support check against local rows and the
-        // external views; unsupported entries are invalidated, their local
-        // dependants re-suspected and their surviving local neighbours
-        // re-seeded for propagation) and then exchanges the raises, which
-        // re-suspect the dependants across cut edges and re-seed surviving
-        // boundary rows for resending. A raise carries the pre-raise value:
-        // the dependant test d(y, t) >= w(y, x) + pre is exactly the seed
-        // inequality one hop out, so under-invalidation cannot occur; an
-        // entry is invalidated at most once, so the cascade terminates.
-        while (true) {
-            bool any_work = false;
-            for (RankId p = 0; p < num_ranks; ++p) {
-                if (!queue[p].empty()) {
-                    any_work = true;
-                    break;
-                }
-            }
-            if (!any_work) {
-                break;
-            }
-            ++rep.cascade_rounds;
-            for (RankId p = 0; p < num_ranks; ++p) {
-                RankState& st = ranks_[p];
-                std::map<LocalId, std::vector<DvEntry>> raised;
-                double ops = 0;
-                auto& q = queue[p];
-                while (!q.empty()) {
-                    const auto [l, t] = q.front();
-                    q.pop_front();
-                    const Weight cur = st.store.at(l, t);
-                    if (!(cur < kInfinity) || st.sg.global_id(l) == t) {
-                        continue;  // already invalidated (or the diagonal)
-                    }
-                    bool supported = false;
-                    for (const Neighbor& nb : st.sg.neighbors(l)) {
-                        ops += 1;
-                        Weight dn = kInfinity;
-                        if (st.sg.owns(nb.to)) {
-                            dn = st.store.at(st.sg.local_id(nb.to), t);
-                        } else {
-                            const auto it = views[p].find(nb.to);
-                            if (it != views[p].end()) {
-                                dn = it->second[t_index[t]];
-                            }
-                        }
-                        if (dn < kInfinity && cur >= nb.weight + dn) {
-                            supported = true;
-                            break;
-                        }
-                    }
-                    if (supported) {
-                        continue;
-                    }
-                    st.store.mark_invalidated(l, t);
-                    ++rep.invalidated_entries;
-                    for (const Neighbor& nb : st.sg.neighbors(l)) {
-                        ops += 1;
-                        if (!st.sg.owns(nb.to)) {
-                            continue;  // handled by the raise below
-                        }
-                        const LocalId ln = st.sg.local_id(nb.to);
-                        const Weight dn = st.store.at(ln, t);
-                        if (dn < kInfinity) {
-                            // The surviving neighbour owes the invalidated
-                            // entry a relaxation once re-settlement runs.
-                            st.store.mark_for_prop(ln, t);
-                            if (dn >= nb.weight + cur - kSuspectSlack) {
-                                q.push_back({ln, t});
-                            }
-                        }
-                    }
-                    raised[l].push_back({t, cur});
-                }
-                // Ship the raises: one block per invalidated row, columns
-                // ascending (map order per row; per-column at most one raise),
-                // replicated to every rank sharing a cut edge with the row.
-                std::vector<std::vector<BoundaryBlock>> per_dest(num_ranks);
-                std::vector<std::size_t> dest_entries(num_ranks, 0);
-                for (auto& [l, entries] : raised) {
-                    std::sort(entries.begin(), entries.end(),
-                              [](const DvEntry& a, const DvEntry& b) {
-                                  return a.column < b.column;
-                              });
-                    const auto destinations = st.sg.neighbor_ranks(l);
-                    if (destinations.empty()) {
-                        continue;
-                    }
-                    BoundaryBlock block;
-                    block.vertex = st.sg.global_id(l);
-                    block.entries = std::move(entries);
-                    ops += static_cast<double>(block.entries.size());
-                    for (const RankId dest : destinations) {
-                        dest_entries[dest] += block.entries.size();
-                        per_dest[dest].push_back(block);
-                    }
-                }
-                for (RankId dest = 0; dest < num_ranks; ++dest) {
-                    if (per_dest[dest].empty()) {
-                        continue;
-                    }
-                    cluster_->send(p, dest, MessageTag::ShrinkRaise,
-                                   encode_boundary_blocks(per_dest[dest],
-                                                          config_.wire_format),
-                                   dest_entries[dest]);
-                }
-                cluster_->charge_compute(p, ops);
-                dynamic_ops += ops;
-            }
-            if (!cluster_->has_pending_messages()) {
-                continue;  // no raises in flight; the outer check ends the cascade
-            }
-            cluster_->exchange();
-            for (RankId p = 0; p < num_ranks; ++p) {
-                RankState& st = ranks_[p];
-                double ops = 0;
-                for (const Message& m : cluster_->receive(p)) {
-                    AA_ASSERT(m.tag == MessageTag::ShrinkRaise);
-                    for (const BoundaryBlock& block :
-                         decode_boundary_blocks(m.bytes(), config_.wire_format)) {
-                        const auto vit = views[p].find(block.vertex);
-                        for (const DvEntry& e : block.entries) {
-                            AA_ASSERT(t_index[e.column] != kInvalidVertex);
-                            if (vit != views[p].end()) {
-                                vit->second[t_index[e.column]] = kInfinity;
-                            }
-                            for (const auto& [ly, w] :
-                                 st.sg.external_neighbors(block.vertex)) {
-                                ops += 1;
-                                const Weight dy = st.store.at(ly, e.column);
-                                if (dy < kInfinity) {
-                                    // The surviving endpoint owes the
-                                    // invalidating rank a resend.
-                                    st.store.mark_for_send(ly, e.column);
-                                    if (dy >= w + e.distance - kSuspectSlack) {
-                                        queue[p].push_back({ly, e.column});
-                                    }
+                        AA_ASSERT(e.column < n);
+                        c.cache.slot(pull_key(block.vertex, e.column)) = kInfinity;
+                        for (const auto& [ly, w] :
+                             st.sg.external_neighbors(block.vertex)) {
+                            ops += 1;
+                            const Weight dy = st.store.at(ly, e.column);
+                            if (dy < kInfinity) {
+                                // The surviving endpoint owes the
+                                // invalidating rank a resend.
+                                st.store.mark_for_send(ly, e.column);
+                                if (dy >= w + e.distance - kSuspectSlack) {
+                                    c.queue.push_back({ly, e.column});
                                 }
                             }
                         }
                     }
                 }
-                cluster_->charge_compute(p, ops);
-                dynamic_ops += ops;
             }
+            // Everything parked a round ago has had its pulls answered now.
+            c.queue.insert(c.queue.end(), c.parked_prev.begin(), c.parked_prev.end());
+            c.parked_prev = std::move(c.parked);
+            c.parked.clear();
+            cluster_->charge_compute(p, ops);
+            dynamic_ops += ops;
         }
     }
 
-    // ---- 7. Deferred weight decreases: monotone, so the growth-path
+    // ---- 5. Deferred weight decreases: monotone, so the growth-path
     // broadcast is sound now that no stale-low entry survives.
     for (const Edge& e : decreases) {
         graph_.set_edge_weight(e.u, e.v, e.weight);
@@ -477,7 +583,7 @@ ShrinkReport AnytimeEngine::apply_deletion(const ShrinkBatch& batch) {
         ++rep.weight_decreases;
     }
 
-    // ---- 8. Local re-settlement to fixpoint (edge addition's step 3); the
+    // ---- 6. Local re-settlement to fixpoint (edge addition's step 3); the
     // cross-rank part rides the send worklists of the caller's next RC steps.
     std::vector<double> prop_ops(num_ranks, 0);
     run_rank_phase([&](RankId r, std::vector<MetricSpan>&) {
@@ -506,6 +612,8 @@ ShrinkReport AnytimeEngine::apply_deletion(const ShrinkBatch& batch) {
                             std::to_string(rep.invalidated_entries));
         metrics_->span_attr(span, "cascade_rounds",
                             std::to_string(rep.cascade_rounds));
+        metrics_->span_attr(span, "pulled_entries",
+                            std::to_string(rep.pulled_entries));
         metrics_->span_add(span, dynamic_ops);
         metrics_->span_close(span, sim_seconds());
     }

@@ -14,7 +14,13 @@
 //      DistanceStore::mark_invalidated and the raise cascades to the
 //      neighbours that depended on it — across ranks as ShrinkRaise messages
 //      carrying the pre-raise value, encoded with the same boundary-block
-//      codecs (both wire formats) as the regular RC exchange.
+//      codecs (both wire formats) as the regular RC exchange. A support
+//      check that needs a cross-rank distance d(x, t) pulls it from x's
+//      owner on demand (ShrinkViewRequest / ShrinkViewReply, one exchange per
+//      cascade round); each rank caches what it learned, and a raise
+//      overwrites the cache with infinity ("infinity wins": during the
+//      cascade a value only ever moves from finite to infinity, so the merge
+//      is independent of message order).
 //
 //   2. re-settle — the surviving frontier is re-marked into the ordinary
 //      prop/send worklists (a finite neighbour of an invalidated entry owes
@@ -34,11 +40,15 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/types.hpp"
 
 namespace aa {
+
+class ShardOwnership;
 
 /// A batch of shrinking updates applied atomically by
 /// AnytimeEngine::apply_deletion.
@@ -68,8 +78,44 @@ struct ShrinkReport {
     std::size_t seed_suspects{0};
     /// Entries reset to infinity by the invalidation cascade.
     std::size_t invalidated_entries{0};
-    /// Cascade rounds (support-check sweep + raise exchange) until fixpoint.
+    /// Cascade rounds (support-check sweep + raise/pull exchange) until
+    /// fixpoint.
     std::size_t cascade_rounds{0};
+    /// Cross-rank distances pulled from their owners by support checks.
+    std::size_t pulled_entries{0};
 };
+
+/// A cross-rank distance d(vertex, column) a deletion cascade pulls from the
+/// vertex's owner, packed as (vertex << 32) | column: ascending keys are in
+/// (vertex, column) order.
+using PullKey = std::uint64_t;
+
+constexpr PullKey pull_key(VertexId vertex, VertexId column) {
+    return (static_cast<PullKey>(vertex) << 32) | column;
+}
+constexpr VertexId pull_vertex(PullKey key) { return static_cast<VertexId>(key >> 32); }
+constexpr VertexId pull_column(PullKey key) { return static_cast<VertexId>(key); }
+
+/// ShrinkViewRequest payload: strictly ascending keys grouped per vertex as
+/// [u32 vertex][varint count][delta-varint columns] (first column absolute,
+/// then deltas >= 1).
+std::vector<std::byte> encode_pull_request(std::span<const PullKey> keys);
+
+/// Decode a request addressed to rank `self`. Every structural check is an
+/// AA_ASSERT: truncated or overlong varints, an empty or oversized group, a
+/// non-ascending column, a column >= num_columns, or a vertex `self` does
+/// not own all die instead of reading out of bounds.
+std::vector<PullKey> decode_pull_request(std::span<const std::byte> payload,
+                                         std::size_t num_columns,
+                                         const ShardOwnership& ownership,
+                                         RankId self);
+
+/// ShrinkViewReply payload: the f64 values, in request order.
+std::vector<std::byte> encode_pull_reply(std::span<const Weight> values);
+
+/// Decode a reply to a request of `expected` keys; a payload carrying any
+/// other number of values dies on an AA_ASSERT.
+std::vector<Weight> decode_pull_reply(std::span<const std::byte> payload,
+                                      std::size_t expected);
 
 }  // namespace aa

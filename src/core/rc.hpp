@@ -30,6 +30,7 @@
 //     pack; invalidated — non-finite — columns are drained and charged but
 //     never serialized: infinity relaxes nothing remotely, and distance
 //     raises travel as explicit ShrinkRaise messages in the deletion path,
+//     whose support checks pull the cross-rank values they read on demand,
 //     see core/edge_delete.cpp), plus one op per serialized DV entry *per
 //     block*, charged once
 //     even when the block is replicated to several destination ranks: the

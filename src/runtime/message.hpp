@@ -26,10 +26,10 @@ enum class MessageTag : std::uint32_t {
     MigratedRows = 3,       // Repartition-S: DV rows moving to a new owner
     Control = 4,            // small control messages (counts, convergence votes)
     // Fully-dynamic shrink path (core/edge_delete.cpp):
-    ShrinkEndpointRow = 5,      // pre-cascade DV row of a deleted edge's endpoint
-    ShrinkAffectedColumns = 6,  // gather/broadcast of the affected-column union
-    ShrinkBoundaryView = 7,     // boundary rows restricted to affected columns
-    ShrinkRaise = 8,            // invalidated (vertex, column, old value) raises
+    ShrinkEndpointRow = 5,  // pre-cascade DV row of a deleted edge's endpoint
+    ShrinkViewRequest = 6,  // (vertex, column) keys a support check must read
+    ShrinkViewReply = 7,    // the owner's current values, in request order
+    ShrinkRaise = 8,        // invalidated (vertex, column, old value) raises
     // Incremental shard migration (core/migrate.cpp):
     ShardMigration = 9,  // one shard's DV rows + adjacency moving to a new rank
 };

@@ -6,8 +6,10 @@
 // P in {2, 4, 8} x both backends x both wire formats x sync/async.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/baseline.hpp"
@@ -426,6 +428,74 @@ TEST(EngineDelete, WeightedChurnWithinEpsilon) {
     DynamicGraph mirror = g;
     apply_to_mirror(mirror, batch);
     expect_exact(engine, mirror);
+}
+
+// On a converged engine the rows a deletion reads are the exact APSP of the
+// pre-deletion graph for every partition, and the invalidation fixpoint is
+// unique (a support strictly lowers the value, so the cascade's order cannot
+// matter). So the suspect and invalidation counts must not depend on the rank
+// count or on how cross-rank distances reach the support checks.
+TEST(EngineDelete, InvalidationIndependentOfPartition) {
+    Rng rng(31);
+    const DynamicGraph g = barabasi_albert(120, 3, rng);
+    ShrinkBatch batch;
+    batch.deletions = pick_edges(g, 6, 11);
+    batch.vertices.push_back(11);
+    const std::vector<Edge> rw = pick_edges(g, 2, 11, 40);
+    batch.reweights.push_back({rw[0].u, rw[0].v, 3.0});
+    batch.reweights.push_back({rw[1].u, rw[1].v, 2.0});
+    DynamicGraph mirror = g;
+    apply_to_mirror(mirror, batch);
+
+    bool first = true;
+    ShrinkReport want;
+    for (const std::uint32_t ranks : {1u, 2u, 4u, 8u}) {
+        for (const BoundaryWireFormat wire :
+             {BoundaryWireFormat::V1Aos, BoundaryWireFormat::V2Soa}) {
+            EngineConfig config = shrink_config(ranks);
+            config.wire_format = wire;
+            SCOPED_TRACE(::testing::Message()
+                         << "ranks=" << ranks << " wire="
+                         << (wire == BoundaryWireFormat::V1Aos ? "v1" : "v2"));
+            AnytimeEngine engine(g, config);
+            engine.initialize();
+            engine.run_to_quiescence();
+            engine.metrics().enable();
+            const ShrinkReport rep = engine.apply_deletion(batch);
+            engine.metrics().disable();
+            EXPECT_GT(rep.invalidated_entries, 0u);
+            if (ranks == 1) {
+                EXPECT_EQ(rep.pulled_entries, 0u);
+            } else {
+                EXPECT_GT(rep.pulled_entries, 0u);
+            }
+            // The delete span carries the cascade counters.
+            const auto& spans = engine.metrics().spans();
+            const auto span = std::find_if(spans.begin(), spans.end(),
+                                           [](const MetricSpan& s) {
+                                               return s.name == "delete";
+                                           });
+            ASSERT_NE(span, spans.end());
+            const auto attr = [&](const std::string& key) {
+                for (const auto& [k, v] : span->attrs) {
+                    if (k == key) {
+                        return v;
+                    }
+                }
+                return std::string("missing");
+            };
+            EXPECT_EQ(attr("cascade_rounds"), std::to_string(rep.cascade_rounds));
+            EXPECT_EQ(attr("pulled_entries"), std::to_string(rep.pulled_entries));
+            if (first) {
+                want = rep;
+                first = false;
+            }
+            EXPECT_EQ(rep.seed_suspects, want.seed_suspects);
+            EXPECT_EQ(rep.invalidated_entries, want.invalidated_entries);
+            engine.run_to_quiescence();
+            expect_bit_identical(engine, mirror, config);
+        }
+    }
 }
 
 // Regression: a vertex deletion applied mid-settle after CutEdge-PS and

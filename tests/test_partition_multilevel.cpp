@@ -107,6 +107,13 @@ struct MultilevelCase {
     std::uint32_t k;
 };
 
+// Without this, gtest prints the case as raw bytes, and `name` is a pointer:
+// the listed (and CTest-discovered) test names would change with the load
+// address of the binary.
+void PrintTo(const MultilevelCase& c, std::ostream* os) {
+    *os << c.name << " k=" << c.k;
+}
+
 class MultilevelSweep : public ::testing::TestWithParam<MultilevelCase> {};
 
 TEST_P(MultilevelSweep, BalancedAndBetterThanRandom) {

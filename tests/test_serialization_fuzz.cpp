@@ -2,11 +2,14 @@
 // fuzzing that stays deterministic and offline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 
 #include "common/rng.hpp"
+#include "core/edge_delete.hpp"
 #include "core/rc.hpp"
 #include "runtime/message.hpp"
+#include "shard/ownership.hpp"
 
 namespace aa {
 namespace {
@@ -149,7 +152,7 @@ TEST_P(SerializerFuzz, BoundaryBlocksRoundTripV2) {
 TEST_P(SerializerFuzz, RaiseBlocksAgreeAcrossFormats) {
     // ShrinkRaise payloads (core/edge_delete.cpp) reuse the boundary-block
     // codecs with a distinctive shape: columns are an ascending *subset* of
-    // the affected-column set (dense runs where a whole region was
+    // the suspect columns (dense runs where a whole region was
     // invalidated, gaps where entries survived) and distances carry the
     // finite pre-raise values. Both wire formats must reproduce that shape
     // entry-for-entry and agree with each other.
@@ -159,7 +162,7 @@ TEST_P(SerializerFuzz, RaiseBlocksAgreeAcrossFormats) {
     for (std::size_t b = 0; b < block_count; ++b) {
         BoundaryBlock block;
         block.vertex = static_cast<VertexId>(rng.uniform(1u << 20));
-        // Walk a sorted universe of affected columns, keeping ~half: long
+        // Walk a sorted universe of suspect columns, keeping ~half: long
         // kept stretches exercise RLE, skipped stretches the delta path.
         VertexId col = static_cast<VertexId>(rng.uniform(1u << 10));
         const std::size_t universe = rng.uniform(60);
@@ -191,6 +194,42 @@ TEST_P(SerializerFuzz, RaiseBlocksAgreeAcrossFormats) {
             EXPECT_EQ(v2[b].entries[e].distance, blocks[b].entries[e].distance);
         }
     }
+}
+
+/// Ownership of `n` vertices dealt round-robin over `ranks` ranks.
+ShardOwnership round_robin_ownership(std::size_t n, std::uint32_t ranks) {
+    std::vector<RankId> owners(n);
+    for (std::size_t v = 0; v < n; ++v) {
+        owners[v] = static_cast<RankId>(v % ranks);
+    }
+    return ShardOwnership::from_partition(owners, ranks, 1);
+}
+
+TEST_P(SerializerFuzz, PullPayloadsRoundTrip) {
+    // Deletion-cascade pulls: sorted (vertex, column) keys for vertices the
+    // receiving rank owns, and the reply values in request order.
+    Rng rng(GetParam());
+    const std::size_t n = 1 + rng.uniform(3000);
+    const ShardOwnership ownership = round_robin_ownership(n, 4);
+    const RankId self = static_cast<RankId>(rng.uniform(4));
+    std::vector<PullKey> keys;
+    const std::size_t count = rng.uniform(200);
+    for (std::size_t i = 0; i < count; ++i) {
+        const VertexId v = static_cast<VertexId>(rng.uniform(n));
+        if (ownership.owned_by(v, self)) {
+            keys.push_back(pull_key(v, static_cast<VertexId>(rng.uniform(n))));
+        }
+    }
+    std::sort(keys.begin(), keys.end());
+    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+    const auto request = encode_pull_request(keys);
+    EXPECT_EQ(decode_pull_request(request, n, ownership, self), keys);
+
+    std::vector<Weight> values(keys.size());
+    for (auto& w : values) {
+        w = rng.uniform01() < 0.2 ? kInfinity : rng.uniform(0.0, 1e6);
+    }
+    EXPECT_EQ(decode_pull_reply(encode_pull_reply(values), values.size()), values);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SerializerFuzz,
@@ -548,6 +587,126 @@ TEST(BoundaryBlockV2Validation, SoaViewDecoderRejectsTheSamePayloads) {
         EXPECT_DEATH((void)decode_boundary_block_soa_views(payload, arena),
                      "varint truncated");
     }
+}
+
+// Hostile deletion-cascade pull payloads. A request is [u32 vertex][varint
+// count][delta-varint columns] per group and a reply is a bare f64 run, so
+// every malformed shape must die on a contract check in the decoder.
+
+constexpr std::size_t kPullColumns = 8;
+
+std::vector<PullKey> decode_pull_request_at_rank0(std::span<const std::byte> payload) {
+    return decode_pull_request(payload, kPullColumns,
+                               round_robin_ownership(kPullColumns, 2), 0);
+}
+
+TEST(PullPayloadValidation, TruncatedColumnVarintDies) {
+    Serializer out;
+    out.write(VertexId{2});
+    out.write_varint(2);
+    out.write_varint(3);
+    out.write(std::uint8_t{0x80});  // continuation bit set, stream ends
+    const auto payload = out.take();
+    EXPECT_DEATH((void)decode_pull_request_at_rank0(payload), "varint truncated");
+}
+
+TEST(PullPayloadValidation, OverlongColumnVarintDies) {
+    Serializer out;
+    out.write(VertexId{2});
+    out.write_varint(1);
+    for (int i = 0; i < 5; ++i) {
+        out.write(std::uint8_t{0x80});
+    }
+    out.write(std::uint8_t{0x01});
+    const auto payload = out.take();
+    EXPECT_DEATH((void)decode_pull_request_at_rank0(payload), "varint overlong");
+}
+
+TEST(PullPayloadValidation, VertexOwnedByAnotherRankDies) {
+    Serializer out;
+    out.write(VertexId{3});  // odd: owned by rank 1
+    out.write_varint(1);
+    out.write_varint(0);
+    const auto payload = out.take();
+    EXPECT_DEATH((void)decode_pull_request_at_rank0(payload),
+                 "vertex the rank does not own");
+}
+
+TEST(PullPayloadValidation, VertexPastGraphEndDies) {
+    Serializer out;
+    out.write(VertexId{kPullColumns + 2});
+    out.write_varint(1);
+    out.write_varint(0);
+    const auto payload = out.take();
+    EXPECT_DEATH((void)decode_pull_request_at_rank0(payload),
+                 "vertex the rank does not own");
+}
+
+TEST(PullPayloadValidation, ColumnPastGraphEndDies) {
+    Serializer out;
+    out.write(VertexId{0});
+    out.write_varint(1);
+    out.write_varint(kPullColumns);
+    const auto payload = out.take();
+    EXPECT_DEATH((void)decode_pull_request_at_rank0(payload), "pull column out of range");
+}
+
+TEST(PullPayloadValidation, WrappingColumnDeltaDies) {
+    // A u32-max delta must not wrap the running column back into range.
+    Serializer out;
+    out.write(VertexId{0});
+    out.write_varint(2);
+    out.write_varint(5);
+    out.write_varint(std::numeric_limits<std::uint32_t>::max());
+    const auto payload = out.take();
+    EXPECT_DEATH((void)decode_pull_request_at_rank0(payload), "pull column out of range");
+}
+
+TEST(PullPayloadValidation, NonMonotoneColumnDeltaDies) {
+    Serializer out;
+    out.write(VertexId{0});
+    out.write_varint(2);
+    out.write_varint(4);
+    out.write_varint(0);  // duplicate column
+    const auto payload = out.take();
+    EXPECT_DEATH((void)decode_pull_request_at_rank0(payload),
+                 "non-monotone pull column delta");
+}
+
+TEST(PullPayloadValidation, ColumnCountPastPayloadEndDies) {
+    Serializer out;
+    out.write(VertexId{0});
+    out.write_varint(std::uint64_t{1} << 28);
+    out.write_varint(1);
+    const auto payload = out.take();
+    EXPECT_DEATH((void)decode_pull_request_at_rank0(payload),
+                 "pull request column count exceeds payload");
+}
+
+TEST(PullPayloadValidation, TruncatedHeaderDies) {
+    const std::vector<std::byte> payload(sizeof(VertexId) - 1);
+    EXPECT_DEATH((void)decode_pull_request_at_rank0(payload),
+                 "pull request header truncated");
+}
+
+TEST(PullPayloadValidation, ReplyWithTooManyValuesDies) {
+    const std::vector<Weight> values{1.0, 2.0, 3.0};
+    const auto payload = encode_pull_reply(values);
+    EXPECT_DEATH((void)decode_pull_reply(payload, 2),
+                 "pull reply value count differs from the request");
+}
+
+TEST(PullPayloadValidation, ReplyWithTooFewValuesDies) {
+    const std::vector<Weight> values{1.0};
+    const auto payload = encode_pull_reply(values);
+    EXPECT_DEATH((void)decode_pull_reply(payload, 2),
+                 "pull reply value count differs from the request");
+}
+
+TEST(PullPayloadValidation, ReplyWithPartialValueDies) {
+    const std::vector<std::byte> payload(sizeof(Weight) + 4);
+    EXPECT_DEATH((void)decode_pull_reply(payload, 1),
+                 "pull reply value count differs from the request");
 }
 
 }  // namespace
