@@ -95,8 +95,7 @@ std::uint64_t closeness_checksum(const ClosenessScores& scores) {
 }
 
 bool is_relax_span(std::string_view name) {
-    return name == "rc.post" || name == "rc.ingest" ||
-           name == "rc.ingest.early" || name == "rc.propagate";
+    return name == "rc.post" || name == "rc.ingest" || name == "rc.propagate";
 }
 
 struct ModeRun {

@@ -6,8 +6,7 @@
 // timeline can never come from doing less work. The headline number is the
 // simulated seconds spent in the RC phase (DD + IA are a bit-identical
 // prologue shared by every configuration); the acceptance bar is a >= 20%
-// reduction for async+pipelined vs the sync+serialized baseline at P=8 under
-// the per-byte price model.
+// reduction for async+pipelined vs the sync+serialized baseline at P=8.
 //
 // Emits a JSON report (--out, default BENCH_overlap.json) recorded in the
 // repository root; build with the `bench` preset (-O3) for quotable numbers.
@@ -118,7 +117,6 @@ ConfigResult run_config(const DynamicGraph& g, const Config& cfg,
     config.seed = opt.seed;
     config.rc_async = cfg.rc_async;
     config.schedule = cfg.schedule;
-    config.price_model = PriceModel::PerByte;
 
     const auto t0 = Clock::now();
     AnytimeEngine engine(g, config);
@@ -172,8 +170,7 @@ int main(int argc, char** argv) {
             ", \"edges\": " + std::to_string(g.num_edges()) + "},\n";
     json += "  \"threads\": " + std::to_string(opt.threads) +
             ",\n  \"steps\": " + std::to_string(opt.steps) +
-            ",\n  \"seed\": " + std::to_string(opt.seed) +
-            ",\n  \"price_model\": \"per_byte\",\n";
+            ",\n  \"seed\": " + std::to_string(opt.seed) + ",\n";
     const unsigned hw_threads_raw = std::thread::hardware_concurrency();
     const unsigned hw_threads = hw_threads_raw == 0 ? 1 : hw_threads_raw;
     json += "  \"host_hardware_concurrency\": " + std::to_string(hw_threads) +

@@ -32,6 +32,7 @@
 // registry, and the publication-overhead check (bare vs idle-service
 // simulated clocks must agree — snapshot building is observer-only).
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <chrono>
@@ -175,6 +176,10 @@ std::vector<TenantSpec> tenant_specs() {
     };
 }
 
+/// Query shapes of the reader mix, each with its own latency samples.
+enum Shape : std::size_t { kPoint, kBatch, kTopK, kShapes };
+constexpr std::array<const char*, kShapes> kShapeNames{"point", "batch", "topk"};
+
 struct ReaderStats {
     std::vector<double> lat_point;
     std::vector<double> lat_batch;
@@ -184,6 +189,12 @@ struct ReaderStats {
     std::uint64_t ok{0};
     std::uint64_t shed{0};
     std::uint64_t unavailable{0};
+    /// Queries issued per shape, whatever their outcome.
+    std::array<std::uint64_t, kShapes> issued{};
+
+    std::vector<double>& samples(Shape shape) {
+        return shape == kPoint ? lat_point : shape == kBatch ? lat_batch : lat_topk;
+    }
 
     void merge(ReaderStats&& other) {
         const auto append = [](std::vector<double>& into, std::vector<double>& from) {
@@ -197,6 +208,9 @@ struct ReaderStats {
         ok += other.ok;
         shed += other.shed;
         unavailable += other.unavailable;
+        for (std::size_t s = 0; s < kShapes; ++s) {
+            issued[s] += other.issued[s];
+        }
     }
 
     std::uint64_t total() const { return ok + shed + unavailable; }
@@ -272,6 +286,9 @@ WorkloadResult run_workload(const BenchOptions& opt, bool open_loop) {
             Rng rng(opt.seed ^ (0xC0FFEEull + t));
             auto next_fire = Clock::now();
             std::uint64_t i = 0;
+            // Answered queries per shape: the sampler strides over each
+            // shape's own answers, so it cannot alias with the i % 16 mix.
+            std::array<std::uint64_t, kShapes> answered{};
             while (!stop.load(std::memory_order_relaxed)) {
                 if (open_loop) {
                     std::this_thread::sleep_until(next_fire);
@@ -292,7 +309,7 @@ WorkloadResult run_workload(const BenchOptions& opt, bool open_loop) {
                 // Mix: mostly stale point reads, some batch and top-k, and
                 // every 16th query waits for the next step (the shape that
                 // exercises the pending budget and per-tenant shedding).
-                std::vector<double>* bucket = nullptr;
+                Shape shape = kPoint;
                 switch (i % 16) {
                     case 3:
                     case 11: {
@@ -304,7 +321,7 @@ WorkloadResult run_workload(const BenchOptions& opt, bool open_loop) {
                             return service.batch(vs, FreshnessPolicy::ServeStale,
                                                  tenant);
                         });
-                        bucket = &stats.lat_batch;
+                        shape = kBatch;
                         break;
                     }
                     case 7:
@@ -314,32 +331,31 @@ WorkloadResult run_workload(const BenchOptions& opt, bool open_loop) {
                                                 FreshnessPolicy::ServeStale,
                                                 tenant);
                         });
-                        bucket = &stats.lat_topk;
+                        shape = kTopK;
                         break;
                     case 5:
                         timed([&] {
                             return service.point(
                                 v, FreshnessPolicy::WaitForNextStep, tenant);
                         });
-                        bucket = &stats.lat_point;
                         break;
                     default:
                         timed([&] {
                             return service.point(v, FreshnessPolicy::ServeStale,
                                                  tenant);
                         });
-                        bucket = &stats.lat_point;
                         break;
                 }
                 ++i;
-                // Counters are exact; sample vectors keep every 8th query so
-                // a ten-million-query run stays within a few dozen MB.
-                const bool sampled = (i & 7) == 0;
+                ++stats.issued[shape];
                 switch (meta.status) {
                     case QueryStatus::Ok:
                         ++stats.ok;
-                        if (sampled) {
-                            bucket->push_back(latency);
+                        // Counters are exact; sample vectors keep the first
+                        // and then every 8th answer of each shape so a
+                        // ten-million-query run stays within a few dozen MB.
+                        if (answered[shape]++ % 8 == 0) {
+                            stats.samples(shape).push_back(latency);
                             stats.stale_wall.push_back(meta.staleness_wall);
                             stats.stale_versions.push_back(
                                 static_cast<double>(meta.staleness_versions));
@@ -778,6 +794,20 @@ int main(int argc, char** argv) {
                 result.pub_stats.delta_publications),
             percentile(p50_copy, 0.50), result.topk_patched,
             result.topk_rebuilt);
+        for (std::size_t s = 0; s < kShapes; ++s) {
+            const auto shape = static_cast<Shape>(s);
+            const std::size_t samples = result.stats.samples(shape).size();
+            std::printf("   %s: %llu issued, %zu samples\n", kShapeNames[s],
+                        static_cast<unsigned long long>(result.stats.issued[s]),
+                        samples);
+            if (result.stats.issued[s] > 0 && samples == 0) {
+                std::fprintf(stderr,
+                             "FAIL: %s queries were issued but none was "
+                             "sampled — the sampler aliases with the mix\n",
+                             kShapeNames[s]);
+                return 1;
+            }
+        }
         json += workload_json(mode, result);
         json += open_loop ? "\n" : ",\n";
     }

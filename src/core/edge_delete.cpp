@@ -288,8 +288,7 @@ ShrinkReport AnytimeEngine::apply_deletion(const ShrinkBatch& batch) {
         Serializer out;
         out.write(vtx);
         out.write_span(std::span<const DvEntry>(entries));
-        cluster_->send(src, dest, MessageTag::ShrinkEndpointRow, out.take(),
-                       entries.size());
+        cluster_->send(src, dest, MessageTag::ShrinkEndpointRow, out.take());
     }
     std::vector<std::unordered_map<VertexId, std::vector<Weight>>> peer_rows(
         num_ranks);
@@ -465,7 +464,6 @@ ShrinkReport AnytimeEngine::apply_deletion(const ShrinkBatch& batch) {
             // ascending (map order per row; per-column at most one raise),
             // replicated to every rank sharing a cut edge with the row.
             std::vector<std::vector<BoundaryBlock>> per_dest(num_ranks);
-            std::vector<std::size_t> dest_entries(num_ranks, 0);
             for (auto& [l, entries] : raised) {
                 std::sort(entries.begin(), entries.end(),
                           [](const DvEntry& a, const DvEntry& b) {
@@ -480,7 +478,6 @@ ShrinkReport AnytimeEngine::apply_deletion(const ShrinkBatch& batch) {
                 block.entries = std::move(entries);
                 ops += static_cast<double>(block.entries.size());
                 for (const RankId dest : destinations) {
-                    dest_entries[dest] += block.entries.size();
                     per_dest[dest].push_back(block);
                 }
             }
@@ -490,8 +487,7 @@ ShrinkReport AnytimeEngine::apply_deletion(const ShrinkBatch& batch) {
                 }
                 cluster_->send(p, dest, MessageTag::ShrinkRaise,
                                encode_boundary_blocks(per_dest[dest],
-                                                      config_.wire_format),
-                               dest_entries[dest]);
+                                                      config_.wire_format));
             }
             // Ship the pulls, one sorted request per owner; the reply comes
             // back in the same order, matched through the FIFO.

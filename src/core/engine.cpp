@@ -4,9 +4,12 @@
 #include <cmath>
 #include <numeric>
 #include <cstring>
+#include <initializer_list>
 #include <istream>
 #include <iterator>
 #include <ostream>
+#include <string>
+#include <utility>
 
 #include "common/assert.hpp"
 #include "core/ia.hpp"
@@ -16,11 +19,32 @@
 
 namespace aa {
 
+namespace {
+
+/// One rank's phase span on the simulated clock, with count attributes.
+MetricSpan rank_span(std::string name, RankId r, std::int64_t step,
+                     double t_begin, double t_end, double ops,
+                     std::initializer_list<std::pair<const char*, std::size_t>> counts) {
+    MetricSpan span;
+    span.name = std::move(name);
+    span.rank = static_cast<std::int32_t>(r);
+    span.step = step;
+    span.t_begin = t_begin;
+    span.t_end = t_end;
+    span.ops = ops;
+    for (const auto& [key, value] : counts) {
+        span.attrs.emplace_back(key, std::to_string(value));
+    }
+    return span;
+}
+
+}  // namespace
+
 AnytimeEngine::AnytimeEngine(DynamicGraph graph, EngineConfig config)
     : graph_(std::move(graph)),
       config_(config),
       cluster_(std::make_unique<Cluster>(config.num_ranks, config.logp,
-                                         config.schedule, config.price_model)),
+                                         config.schedule)),
       backend_(make_backend(config.backend, config.num_ranks,
                             config.backend_threads)),
       pool_(std::make_unique<ThreadPool>(config.ia_threads)),
@@ -266,17 +290,10 @@ void AnytimeEngine::initialize() {
         cluster_->charge_compute(r, ops, config_.ia_threads);
         ia_ops[r] = ops;
         if (mx) {
-            MetricSpan span;
-            span.name = "ia";
-            span.rank = static_cast<std::int32_t>(r);
-            span.t_begin = ia_begin;
-            span.t_end = cluster_->time(r);
-            span.ops = ops;
-            span.attrs.emplace_back("sources", std::to_string(profile.sources));
-            span.attrs.emplace_back("sub_vertices",
-                                    std::to_string(profile.sub_vertices));
-            span.attrs.emplace_back("folds", std::to_string(profile.folds));
-            sink.push_back(std::move(span));
+            sink.push_back(rank_span("ia", r, -1, ia_begin, cluster_->time(r),
+                                     ops, {{"sources", profile.sources},
+                                           {"sub_vertices", profile.sub_vertices},
+                                           {"folds", profile.folds}}));
         }
     });
     for (RankId r = 0; r < num_ranks; ++r) {
@@ -301,6 +318,25 @@ bool AnytimeEngine::quiescent() const {
         }
     }
     return true;
+}
+
+double AnytimeEngine::ingest_on_rank(RankId r, const std::vector<Message>& inbox,
+                                     std::int64_t step,
+                                     std::vector<MetricSpan>* sink) {
+    RcIngestProfile profile;
+    const double t0 = cluster_->time(r);
+    const double ops = rc_ingest_updates(
+        ranks_[r].sg, ranks_[r].store, inbox, config_.wire_format,
+        kernel_pool(), kRcIngestParallelGrain, rc_ingest_window_bytes_,
+        sink != nullptr ? &profile : nullptr);
+    cluster_->charge_compute(r, ops);
+    if (sink != nullptr) {
+        sink->push_back(rank_span("rc.ingest", r, step, t0, cluster_->time(r),
+                                  ops, {{"blocks", profile.blocks},
+                                        {"entries", profile.entries},
+                                        {"windows", profile.windows}}));
+    }
+    return ops;
 }
 
 bool AnytimeEngine::rc_step() {
@@ -328,8 +364,8 @@ bool AnytimeEngine::rc_step() {
     // Refine plans for this step: per-rank sweep orders from the query-heat
     // and top-k focus signals (all empty under Uniform / no demand — the
     // kernels then take their historical ascending sweeps, bit-identically).
-    // Planned once on the driver thread so both phases below — and both the
-    // sync and async propagate paths — order work consistently.
+    // Planned once on the driver thread so both phases below order work
+    // consistently.
     const std::vector<std::vector<LocalId>> refine_plans = plan_refine_orders();
     // Per-rank propagate budgets (static split: the configured per-rank
     // budget everywhere, bit-identically; demand split: the same total
@@ -348,17 +384,11 @@ bool AnytimeEngine::rc_step() {
         cluster_->charge_compute(r, ops);
         post_ops[r] = ops;
         if (mx) {
-            MetricSpan span;
-            span.name = "rc.post";
-            span.rank = static_cast<std::int32_t>(r);
-            span.step = step_no;
-            span.t_begin = t0;
-            span.t_end = cluster_->time(r);
-            span.ops = ops;
+            MetricSpan span = rank_span(
+                "rc.post", r, step_no, t0, cluster_->time(r), ops,
+                {{"blocks", profile.blocks}, {"entries", profile.entries}});
             span.bytes = profile.bytes;
             span.messages = profile.messages;
-            span.attrs.emplace_back("blocks", std::to_string(profile.blocks));
-            span.attrs.emplace_back("entries", std::to_string(profile.entries));
             sink.push_back(std::move(span));
         }
     });
@@ -367,98 +397,119 @@ bool AnytimeEngine::rc_step() {
         stats.ops += post_ops[r];
     }
 
-    std::vector<double> phase3_ops(ranks_.size(), 0);
+    // Phase 2: personalized all-to-all exchange. The collective exchange is
+    // a barrier that lands every message in its receiver's inbox; the
+    // event-driven one leaves each message on the wire with its own arrival
+    // time, senders departing at their own clocks (no entry barrier). Either
+    // way each receiver's messages are in canonical order: ascending seq,
+    // after any inbox leftovers from collectives outside the RC loop.
+    std::vector<std::vector<DeliveryEvent>> in_flight(ranks_.size());
+    const char* exchange_span = "rc.exchange";
+    double exchange_begin = cluster_->max_time();
+    double exchange_end = exchange_begin;
     if (config_.rc_async) {
-        rc_step_async(stats, step_no, comm_before, phase3_ops, refine_plans,
-                      step_budgets);
-    } else {
-        // Phase 2: personalized all-to-all exchange (priced, barrier
-        // semantics).
-        const double exchange_begin = cluster_->max_time();
-        stats.exchange_seconds = cluster_->exchange();
-        if (mx) {
-            // Everyone enters and leaves the collective at the same instants,
-            // so the per-rank children share the parent's bounds; each
-            // carries its own rank's sent-side load plus the received side as
-            // attributes.
-            const auto h =
-                metrics_->span_open("rc.exchange", -1, step_no, exchange_begin);
-            for (RankId r = 0; r < ranks_.size(); ++r) {
-                const RankStats& now = cluster_->rank_stats(r);
-                MetricSpan span;
-                span.name = "rc.exchange.rank";
-                span.rank = static_cast<std::int32_t>(r);
-                span.step = step_no;
-                span.t_begin = exchange_begin;
-                span.t_end = cluster_->max_time();
-                span.bytes = now.bytes_sent - comm_before[r].bytes_sent;
-                span.messages = now.messages_sent - comm_before[r].messages_sent;
-                span.attrs.emplace_back(
-                    "bytes_in", std::to_string(now.bytes_received -
-                                               comm_before[r].bytes_received));
-                span.attrs.emplace_back(
-                    "messages_in", std::to_string(now.messages_received -
-                                                  comm_before[r].messages_received));
-                metrics_->record_span(std::move(span));
-                metrics_->span_add(h, 0, span.bytes, span.messages);
-            }
-            metrics_->span_close(h, cluster_->max_time());
+        exchange_span = "rc.exchange.inflight";
+        exchange_begin = cluster_->time(0);
+        for (RankId r = 1; r < ranks_.size(); ++r) {
+            exchange_begin = std::min(exchange_begin, cluster_->time(r));
         }
-
-        // Phase 3: ingest external updates, then local propagation to
-        // fixpoint. The batched kernels run the row sweeps on the IA thread
-        // pool when the backend is sequential (kernel_pool()) — that
-        // accelerates host wall-clock time only; the simulated clock still
-        // prices RC single-threaded per rank (the paper's model), so
-        // `threads` stays 1 in charge_compute. Ingest and propagate are
-        // charged separately so their spans cover disjoint intervals;
-        // compute_time is linear in ops, so the split charge advances the
-        // clock exactly as the former combined one.
-        run_rank_phase([&](RankId r, std::vector<MetricSpan>& sink) {
-            const auto inbox = cluster_->receive(r);
-            RcIngestProfile ingest_profile;
-            const double t0 = cluster_->time(r);
-            const double ingest_ops = rc_ingest_updates(
-                ranks_[r].sg, ranks_[r].store, inbox, config_.wire_format,
-                kernel_pool(), kRcIngestParallelGrain,
-                rc_ingest_window_bytes_, mx ? &ingest_profile : nullptr);
-            cluster_->charge_compute(r, ingest_ops);
-            const double t1 = cluster_->time(r);
-            RcPropagateProfile prop_profile;
-            const double prop_ops = rc_propagate_local(
-                ranks_[r].sg, ranks_[r].store, kernel_pool(),
-                kRcPropagateParallelGrain, mx ? &prop_profile : nullptr,
-                kRcPropagateTileCols, refine_plans[r], step_budgets[r]);
-            cluster_->charge_compute(r, prop_ops);
-            phase3_ops[r] = ingest_ops + prop_ops;
-            if (mx) {
-                MetricSpan ingest_span;
-                ingest_span.name = "rc.ingest";
-                ingest_span.rank = static_cast<std::int32_t>(r);
-                ingest_span.step = step_no;
-                ingest_span.t_begin = t0;
-                ingest_span.t_end = t1;
-                ingest_span.ops = ingest_ops;
-                ingest_span.attrs.emplace_back(
-                    "blocks", std::to_string(ingest_profile.blocks));
-                ingest_span.attrs.emplace_back(
-                    "entries", std::to_string(ingest_profile.entries));
-                ingest_span.attrs.emplace_back(
-                    "windows", std::to_string(ingest_profile.windows));
-                sink.push_back(std::move(ingest_span));
-                MetricSpan prop_span;
-                prop_span.name = "rc.propagate";
-                prop_span.rank = static_cast<std::int32_t>(r);
-                prop_span.step = step_no;
-                prop_span.t_begin = t1;
-                prop_span.t_end = cluster_->time(r);
-                prop_span.ops = prop_ops;
-                prop_span.attrs.emplace_back(
-                    "rows_drained", std::to_string(prop_profile.rows_drained));
-                sink.push_back(std::move(prop_span));
-            }
-        });
+        std::vector<DeliveryEvent> deliveries = cluster_->pipelined_exchange();
+        exchange_end = exchange_begin;
+        std::vector<const DeliveryEvent*> order;
+        order.reserve(deliveries.size());
+        for (const DeliveryEvent& e : deliveries) {
+            exchange_end = std::max(exchange_end, e.time);
+            order.push_back(&e);
+        }
+        std::sort(order.begin(), order.end(),
+                  [](const DeliveryEvent* a, const DeliveryEvent* b) {
+                      return delivered_before(*a, *b);
+                  });
+        for (const DeliveryEvent* e : order) {
+            delivery_trace_.push_back({stats.step, e->time, e->source,
+                                       e->message.to, e->seq,
+                                       e->message.size_bytes()});
+        }
+        stats.exchange_seconds = exchange_end - exchange_begin;
+        for (DeliveryEvent& e : deliveries) {
+            in_flight[e.message.to].push_back(std::move(e));
+        }
+    } else {
+        stats.exchange_seconds = cluster_->exchange();
+        exchange_end = cluster_->max_time();
     }
+    if (mx) {
+        // Per-rank children share the exchange window; each carries its own
+        // rank's sent-side load plus the received side as attributes.
+        const auto h =
+            metrics_->span_open(exchange_span, -1, step_no, exchange_begin);
+        for (RankId r = 0; r < ranks_.size(); ++r) {
+            const RankStats& now = cluster_->rank_stats(r);
+            MetricSpan span = rank_span(
+                "rc.exchange.rank", r, step_no, exchange_begin, exchange_end, 0,
+                {{"bytes_in", now.bytes_received - comm_before[r].bytes_received},
+                 {"messages_in",
+                  now.messages_received - comm_before[r].messages_received}});
+            span.bytes = now.bytes_sent - comm_before[r].bytes_sent;
+            span.messages = now.messages_sent - comm_before[r].messages_sent;
+            metrics_->span_add(h, 0, span.bytes, span.messages);
+            metrics_->record_span(std::move(span));
+        }
+        metrics_->span_close(h, exchange_end);
+    }
+
+    // Phase 3: each rank ingests its inbox in canonical order, then
+    // propagates to its local fixpoint. A message cannot be touched before
+    // it arrives, so the rank advances its clock to the next canonical
+    // arrival when that is still in the future, and ingests in one call the
+    // longest canonical prefix that has arrived by its clock. After a
+    // collective exchange the whole inbox has arrived: one call. Propagate
+    // waits for the whole inbox, which keeps every rank's relaxation order
+    // identical in both modes (relax() acceptance has an epsilon band, so
+    // order matters). The batched kernels run the row sweeps on the IA
+    // thread pool when the backend is sequential (kernel_pool()) — that
+    // accelerates host wall-clock time only; the simulated clock still
+    // prices RC single-threaded per rank (the paper's model), so `threads`
+    // stays 1 in charge_compute.
+    std::vector<double> phase3_ops(ranks_.size(), 0);
+    run_rank_phase([&](RankId r, std::vector<MetricSpan>& sink) {
+        std::vector<Message> inbox = cluster_->receive(r);
+        std::vector<double> arrival(inbox.size(), cluster_->time(r));
+        for (DeliveryEvent& e : in_flight[r]) {
+            inbox.push_back(std::move(e.message));
+            arrival.push_back(e.time);
+        }
+        std::vector<Message> arrived;
+        std::size_t next = 0;
+        do {
+            if (next < arrival.size()) {
+                cluster_->advance_rank_to(r, arrival[next]);
+            }
+            std::size_t end = next;
+            while (end < arrival.size() && arrival[end] <= cluster_->time(r)) {
+                ++end;
+            }
+            arrived.assign(std::make_move_iterator(inbox.begin() + next),
+                           std::make_move_iterator(inbox.begin() + end));
+            phase3_ops[r] +=
+                ingest_on_rank(r, arrived, step_no, mx ? &sink : nullptr);
+            next = end;
+        } while (next < inbox.size());
+
+        RcPropagateProfile profile;
+        const double t0 = cluster_->time(r);
+        const double ops = rc_propagate_local(
+            ranks_[r].sg, ranks_[r].store, kernel_pool(),
+            kRcPropagateParallelGrain, mx ? &profile : nullptr,
+            kRcPropagateTileCols, refine_plans[r], step_budgets[r]);
+        cluster_->charge_compute(r, ops);
+        phase3_ops[r] += ops;
+        if (mx) {
+            sink.push_back(rank_span("rc.propagate", r, step_no, t0,
+                                     cluster_->time(r), ops,
+                                     {{"rows_drained", profile.rows_drained}}));
+        }
+    });
     for (RankId r = 0; r < ranks_.size(); ++r) {
         report_.rc_ops += phase3_ops[r];
         stats.ops += phase3_ops[r];
@@ -543,189 +594,6 @@ std::vector<ShardMove> AnytimeEngine::plan_migration(
     }
     return planner_.plan(ownership_, shard_static_weights(), max_moves,
                          config_.migrate_imbalance_threshold);
-}
-
-void AnytimeEngine::rc_step_async(
-    RcStepStats& stats, std::int64_t step_no,
-    const std::vector<RankStats>& comm_before, std::vector<double>& phase3_ops,
-    const std::vector<std::vector<LocalId>>& refine_plans,
-    const std::vector<double>& step_budgets) {
-    // Event-driven phases 2+3: the pipelined exchange turns every posted
-    // message into a timestamped delivery event; a rank ingests each message
-    // the moment it arrives, then propagates once its whole inbox is in.
-    // Distances, dirty order, op counts, and traffic are bit-identical to the
-    // synchronous path at every step — only the simulated timeline changes
-    // (no entry barrier, no wait for the full exchange to drain).
-    //
-    // Canonical order is the load-bearing detail: relax() acceptance has an
-    // epsilon band, so within one receiver the messages must be relaxed in
-    // exactly the synchronous inbox order (round order of the all-to-all).
-    // Events pop in (time, source, seq) order; each receiver buffers
-    // out-of-order arrivals and ingests its canonical prefix as it completes,
-    // each message starting no earlier than its own arrival instant.
-    const bool mx = metrics_->enabled();
-
-    // Leftover inbox messages (delivered by collectives outside the RC loop)
-    // come first, exactly as receive() would present them ahead of this
-    // step's arrivals in the synchronous path.
-    for (RankId r = 0; r < ranks_.size(); ++r) {
-        const auto leftovers = cluster_->receive(r);
-        if (leftovers.empty()) {
-            continue;
-        }
-        const double t0 = cluster_->time(r);
-        RcIngestProfile profile;
-        const double ops = rc_ingest_updates(
-            ranks_[r].sg, ranks_[r].store, leftovers, config_.wire_format,
-            pool_.get(), kRcIngestParallelGrain, rc_ingest_window_bytes_,
-            mx ? &profile : nullptr);
-        cluster_->charge_compute(r, ops);
-        phase3_ops[r] += ops;
-        if (mx) {
-            MetricSpan span;
-            span.name = "rc.ingest";
-            span.rank = static_cast<std::int32_t>(r);
-            span.step = step_no;
-            span.t_begin = t0;
-            span.t_end = cluster_->time(r);
-            span.ops = ops;
-            span.attrs.emplace_back("blocks", std::to_string(profile.blocks));
-            span.attrs.emplace_back("entries", std::to_string(profile.entries));
-            metrics_->record_span(std::move(span));
-        }
-    }
-
-    // Earliest possible departure: the fastest poster's clock (there is no
-    // entry barrier — that is the point).
-    double inflight_begin = cluster_->time(0);
-    for (RankId r = 1; r < ranks_.size(); ++r) {
-        inflight_begin = std::min(inflight_begin, cluster_->time(r));
-    }
-    std::vector<DeliveryEvent> deliveries = cluster_->pipelined_exchange();
-
-    // Per-receiver canonical order = ascending seq (events are generated in
-    // canonical drain order with a monotone counter).
-    std::vector<std::vector<std::uint64_t>> canon(ranks_.size());
-    for (const DeliveryEvent& e : deliveries) {
-        canon[e.message.to].push_back(e.seq);
-    }
-    std::vector<std::size_t> canon_next(ranks_.size(), 0);
-    std::vector<std::vector<DeliveryEvent>> held(ranks_.size());
-
-    EventQueue queue;
-    double last_arrival = inflight_begin;
-    for (DeliveryEvent& e : deliveries) {
-        last_arrival = std::max(last_arrival, e.time);
-        queue.push(std::move(e));
-    }
-    stats.exchange_seconds = last_arrival - inflight_begin;
-
-    std::vector<Message> inbox_one;
-    while (!queue.empty()) {
-        DeliveryEvent ev = queue.pop();
-        const RankId to = ev.message.to;
-        delivery_trace_.push_back({stats.step, ev.time, ev.source, to, ev.seq,
-                                   ev.message.size_bytes()});
-        held[to].push_back(std::move(ev));
-        // Ingest the canonical prefix that has now fully arrived. The pool is
-        // safe here: the event loop runs on the driver thread with no rank
-        // closure in flight, and pooled sweeps are bit-identical by contract.
-        while (canon_next[to] < canon[to].size()) {
-            const std::uint64_t want = canon[to][canon_next[to]];
-            const auto it = std::find_if(
-                held[to].begin(), held[to].end(),
-                [want](const DeliveryEvent& h) { return h.seq == want; });
-            if (it == held[to].end()) {
-                break;  // a canonical predecessor is still in flight
-            }
-            DeliveryEvent next = std::move(*it);
-            held[to].erase(it);
-            ++canon_next[to];
-            // The receiver cannot touch the payload before it arrives.
-            cluster_->advance_rank_to(to, next.time);
-            const double t0 = cluster_->time(to);
-            RcIngestProfile profile;
-            inbox_one.clear();
-            inbox_one.push_back(std::move(next.message));
-            const double ops = rc_ingest_updates(
-                ranks_[to].sg, ranks_[to].store, inbox_one, config_.wire_format,
-                pool_.get(), kRcIngestParallelGrain, rc_ingest_window_bytes_,
-                mx ? &profile : nullptr);
-            cluster_->charge_compute(to, ops);
-            phase3_ops[to] += ops;
-            if (mx) {
-                MetricSpan span;
-                span.name = "rc.ingest.early";
-                span.rank = static_cast<std::int32_t>(to);
-                span.step = step_no;
-                span.t_begin = t0;
-                span.t_end = cluster_->time(to);
-                span.ops = ops;
-                span.attrs.emplace_back("source", std::to_string(next.source));
-                span.attrs.emplace_back("arrival", std::to_string(next.time));
-                span.attrs.emplace_back("blocks", std::to_string(profile.blocks));
-                span.attrs.emplace_back("entries", std::to_string(profile.entries));
-                metrics_->record_span(std::move(span));
-            }
-        }
-    }
-    for (RankId r = 0; r < ranks_.size(); ++r) {
-        AA_ASSERT_MSG(held[r].empty() && canon_next[r] == canon[r].size(),
-                      "async exchange left undelivered messages");
-    }
-
-    if (mx) {
-        // The in-flight window — earliest departure to last arrival — with
-        // the same per-rank traffic children as the synchronous span.
-        const auto h =
-            metrics_->span_open("rc.exchange.inflight", -1, step_no, inflight_begin);
-        for (RankId r = 0; r < ranks_.size(); ++r) {
-            const RankStats& now = cluster_->rank_stats(r);
-            MetricSpan span;
-            span.name = "rc.exchange.rank";
-            span.rank = static_cast<std::int32_t>(r);
-            span.step = step_no;
-            span.t_begin = inflight_begin;
-            span.t_end = last_arrival;
-            span.bytes = now.bytes_sent - comm_before[r].bytes_sent;
-            span.messages = now.messages_sent - comm_before[r].messages_sent;
-            span.attrs.emplace_back(
-                "bytes_in",
-                std::to_string(now.bytes_received - comm_before[r].bytes_received));
-            span.attrs.emplace_back(
-                "messages_in", std::to_string(now.messages_received -
-                                              comm_before[r].messages_received));
-            metrics_->record_span(std::move(span));
-            metrics_->span_add(h, 0, span.bytes, span.messages);
-        }
-        metrics_->span_close(h, last_arrival);
-    }
-
-    // Phase 3b: propagate to local fixpoint once each rank's inbox is fully
-    // ingested (deferring propagate past the last ingest is what keeps the
-    // per-receiver relaxation order identical to the synchronous step).
-    run_rank_phase([&](RankId r, std::vector<MetricSpan>& sink) {
-        RcPropagateProfile prop_profile;
-        const double t1 = cluster_->time(r);
-        const double prop_ops = rc_propagate_local(
-            ranks_[r].sg, ranks_[r].store, kernel_pool(),
-            kRcPropagateParallelGrain, mx ? &prop_profile : nullptr,
-            kRcPropagateTileCols, refine_plans[r], step_budgets[r]);
-        cluster_->charge_compute(r, prop_ops);
-        phase3_ops[r] += prop_ops;
-        if (mx) {
-            MetricSpan prop_span;
-            prop_span.name = "rc.propagate";
-            prop_span.rank = static_cast<std::int32_t>(r);
-            prop_span.step = step_no;
-            prop_span.t_begin = t1;
-            prop_span.t_end = cluster_->time(r);
-            prop_span.ops = prop_ops;
-            prop_span.attrs.emplace_back(
-                "rows_drained", std::to_string(prop_profile.rows_drained));
-            sink.push_back(std::move(prop_span));
-        }
-    });
 }
 
 std::size_t AnytimeEngine::run_rc_steps(std::size_t max_steps) {

@@ -82,20 +82,17 @@ struct EngineConfig {
     LogPParams logp{};
     /// RC-step communication schedule.
     CommSchedule schedule{CommSchedule::SerializedAllToAll};
-    /// Bandwidth price model for the simulated interconnect (see PriceModel
-    /// in runtime/logp.hpp). PerByte — the default, bit-identical to the
-    /// historical behaviour — charges the serialized wire size; PerEntry
-    /// charges boundary messages by decoded entry footprint so sim_seconds
-    /// stops depending on the wire encoding.
-    PriceModel price_model{PriceModel::PerByte};
-    /// Event-driven RC exchange (relax-on-arrival): boundary messages become
-    /// timestamped delivery events (see runtime/event_loop.hpp) scheduled
-    /// under `schedule` with senders departing at their own clocks, and each
-    /// rank ingests a message as soon as it arrives instead of waiting for
-    /// the collective barrier. Distances, dirty order, op counts, and message
-    /// traffic are bit-identical to the step-synchronous default at every
-    /// step — ingest preserves the canonical per-receiver message order, so
-    /// only the simulated timeline (sim_seconds, span bounds) changes.
+    /// Which exchange prices an RC step's boundary traffic. false (default):
+    /// the collective Cluster::exchange(), a barrier after which every
+    /// message has arrived. true (relax-on-arrival): the event-driven
+    /// Cluster::pipelined_exchange(), which gives each message its own
+    /// arrival time under `schedule` with senders departing at their own
+    /// clocks, so a rank starts ingesting the messages that have arrived
+    /// while later ones are still on the wire. Both modes ingest each rank's
+    /// inbox in the same canonical order, in the same rank phase, and
+    /// propagate only after the whole inbox is in, so distances, dirty
+    /// order, op counts and traffic are identical — only the simulated
+    /// timeline (sim_seconds, span bounds) changes.
     bool rc_async{false};
     /// DD / Repartition-S partitioner parameters.
     MultilevelConfig partition{};
@@ -199,11 +196,10 @@ struct EngineReport {
     std::size_t migrated_rows{0};
 };
 
-/// One processed delivery event of an event-driven RC step, recorded in
-/// event-loop pop order (the (time, source, seq) total order — see
-/// runtime/event_loop.hpp). The trace is what the determinism tests compare
-/// across backends and across repeated threaded runs: identical traces mean
-/// the whole relax-on-arrival schedule replayed identically.
+/// One delivery of an event-driven RC step (see EngineConfig::rc_async).
+/// The trace is what the determinism tests compare across backends and
+/// across repeated threaded runs: identical traces mean the whole
+/// relax-on-arrival schedule replayed identically.
 struct DeliveryTraceEntry {
     std::size_t step{0};
     double time{0};
@@ -443,8 +439,11 @@ public:
     /// Per-RC-step telemetry since construction.
     const std::vector<RcStepStats>& step_history() const { return step_history_; }
 
-    /// Delivery events processed by event-driven RC steps, in processing
-    /// order (empty unless EngineConfig::rc_async).
+    /// Deliveries of every event-driven RC step (empty unless
+    /// EngineConfig::rc_async): step by step, and within a step in delivery
+    /// order — (time, source, seq) lexicographic, see delivered_before in
+    /// runtime/cluster.hpp. The order is a pure function of the simulated
+    /// state, independent of the backend and of which rank ingests first.
     const std::vector<DeliveryTraceEntry>& delivery_trace() const {
         return delivery_trace_;
     }
@@ -503,16 +502,11 @@ private:
     /// op counts with and without a pool).
     ThreadPool& ia_pool();
     ThreadPool* kernel_pool();
-    /// Phases 2+3 of an event-driven rc_step (EngineConfig::rc_async): the
-    /// pipelined exchange, the event loop with relax-on-arrival ingest, and
-    /// the deferred per-rank propagate. Runs on the driver thread between
-    /// backend phases (see runtime/backend.hpp). Fills stats.exchange_seconds
-    /// and accumulates per-rank ingest + propagate ops into phase3_ops.
-    void rc_step_async(RcStepStats& stats, std::int64_t step_no,
-                       const std::vector<RankStats>& comm_before,
-                       std::vector<double>& phase3_ops,
-                       const std::vector<std::vector<LocalId>>& refine_plans,
-                       const std::vector<double>& step_budgets);
+    /// Relax `inbox` into rank r's rows and charge the ops to r's clock.
+    /// Rank-confined (safe inside run_rank_phase). With a non-null `sink`
+    /// an rc.ingest span for `step` is recorded into it. Returns the ops.
+    double ingest_on_rank(RankId r, const std::vector<Message>& inbox,
+                          std::int64_t step, std::vector<MetricSpan>* sink);
     /// Decay query heat, export the refine.demand.* gauges, then invoke
     /// boundary_hook_ if set (phase entry points call this last).
     void fire_boundary_hook();

@@ -47,19 +47,15 @@ void AnytimeEngine::drain_in_flight_updates() {
         cluster_->exchange();
     }
     // Inboxes can also hold messages delivered by earlier collectives but not
-    // yet received (the async path's leftovers) — ingest those too, exactly
-    // as the next RC step's phase 3 would have.
+    // yet received — ingest those too, exactly as the next RC step's phase 3
+    // would have.
     std::vector<double> drain_ops(ranks_.size(), 0);
     run_rank_phase([&](RankId r, std::vector<MetricSpan>&) {
-        const auto inbox = cluster_->receive(r);
-        if (inbox.empty()) {
-            return;
+        const std::vector<Message> inbox = cluster_->receive(r);
+        if (!inbox.empty()) {
+            drain_ops[r] = ingest_on_rank(
+                r, inbox, static_cast<std::int64_t>(rc_steps_), nullptr);
         }
-        const double ops = rc_ingest_updates(
-            ranks_[r].sg, ranks_[r].store, inbox, config_.wire_format,
-            kernel_pool(), kRcIngestParallelGrain, rc_ingest_window_bytes_);
-        cluster_->charge_compute(r, ops);
-        drain_ops[r] = ops;
     });
     for (const double ops : drain_ops) {
         report_.dynamic_ops += ops;
@@ -145,7 +141,7 @@ void AnytimeEngine::migrate_shards(std::span<const ShardMove> moves) {
         cluster_->charge_compute(pm.move.from, ops);
         dynamic_ops += ops;
         cluster_->send(pm.move.from, pm.move.to, MessageTag::ShardMigration,
-                       out.take(), entries);
+                       out.take());
     }
 
     // ---- 4. Republish the shard map before any surgery. ----

@@ -346,11 +346,8 @@ double rc_post_boundary_updates(const LocalSubgraph& sg, DistanceStore& store,
 
     // Per-destination payloads: each sending row's block is encoded exactly
     // once and its bytes appended to every destination buffer (both payload
-    // formats are plain concatenations of self-aligned blocks). The entry
-    // counts ride along so the cluster can price the message by decoded
-    // footprint under PriceModel::PerEntry.
+    // formats are plain concatenations of self-aligned blocks).
     std::vector<std::vector<std::byte>> outgoing(num_ranks);
-    std::vector<std::size_t> outgoing_entries(num_ranks, 0);
     std::vector<VertexId> sorted_cols;  // reused across rows
     std::vector<DvEntry> entries;       // reused across rows (v1)
     std::vector<Weight> dists;          // reused across rows (v2)
@@ -421,7 +418,6 @@ double rc_post_boundary_updates(const LocalSubgraph& sg, DistanceStore& store,
         for (const RankId dest : destinations) {
             outgoing[dest].insert(outgoing[dest].end(), block_bytes.begin(),
                                   block_bytes.end());
-            outgoing_entries[dest] += sorted_cols.size();
         }
     }
 
@@ -433,8 +429,7 @@ double rc_post_boundary_updates(const LocalSubgraph& sg, DistanceStore& store,
             ++profile->messages;
             profile->bytes += outgoing[dest].size();
         }
-        cluster.send(me, dest, MessageTag::BoundaryDvUpdate, std::move(outgoing[dest]),
-                     outgoing_entries[dest]);
+        cluster.send(me, dest, MessageTag::BoundaryDvUpdate, std::move(outgoing[dest]));
     }
     return ops;
 }

@@ -1,6 +1,7 @@
 #include "runtime/alltoall.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/assert.hpp"
 
@@ -124,7 +125,7 @@ void schedule_arrivals(std::vector<InFlightMessage>& messages,
                 m.arrive = start + params.message_time(m.bytes);
                 wire_free = m.arrive;
             }
-            return;
+            break;
         }
         case CommSchedule::ParallelRounds: {
             // Canonical order is round-major, so consecutive messages of one
@@ -151,7 +152,7 @@ void schedule_arrivals(std::vector<InFlightMessage>& messages,
                 prev_round_end = round_end;
                 i = j;
             }
-            return;
+            break;
         }
         case CommSchedule::Flooding: {
             double start = 0;
@@ -163,7 +164,7 @@ void schedule_arrivals(std::vector<InFlightMessage>& messages,
             for (InFlightMessage& m : messages) {
                 m.arrive = start + params.message_time(m.bytes) * concurrent;
             }
-            return;
+            break;
         }
         case CommSchedule::Pipelined: {
             std::vector<double> sender_free(ready);
@@ -171,8 +172,16 @@ void schedule_arrivals(std::vector<InFlightMessage>& messages,
                 m.arrive = sender_free[m.from] + params.message_time(m.bytes);
                 sender_free[m.from] = m.arrive;
             }
-            return;
+            break;
         }
+    }
+    for (const InFlightMessage& m : messages) {
+        // A NaN arrival compares false with everything and would silently
+        // scramble the delivery order; a negative one would deliver before
+        // the simulation began. Both are scheduler bugs, not states to limp
+        // through.
+        AA_ASSERT_MSG(std::isfinite(m.arrive), "arrival timestamp not finite");
+        AA_ASSERT_MSG(m.arrive >= 0, "arrival timestamp negative");
     }
 }
 

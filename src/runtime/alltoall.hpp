@@ -63,8 +63,7 @@ std::vector<RankTraffic> per_rank_traffic(const std::vector<std::size_t>& per_pa
                                           std::uint32_t num_ranks);
 
 /// One message of an event-driven exchange, before and after scheduling.
-/// `bytes` is the *priced* size (wire bytes or per-entry footprint, per the
-/// cluster's PriceModel); `arrive` is filled in by schedule_arrivals.
+/// `bytes` is the wire size; `arrive` is filled in by schedule_arrivals.
 struct InFlightMessage {
     RankId from{0};
     RankId to{0};
@@ -91,6 +90,10 @@ struct InFlightMessage {
 ///     when its (k-1)-th finished (first at ready[i]); distinct senders
 ///     overlap freely.
 /// Deterministic: a pure function of (messages, ready, params, schedule).
+/// Every arrival is contract-checked on the way out: a NaN, infinite or
+/// negative arrival time (from a hostile or corrupt ready time) dies on
+/// AA_ASSERT instead of silently reordering the deliveries that are sorted
+/// by it.
 void schedule_arrivals(std::vector<InFlightMessage>& messages,
                        std::uint32_t num_ranks, const std::vector<double>& ready,
                        const LogPParams& params, CommSchedule schedule);

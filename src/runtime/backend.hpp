@@ -36,10 +36,10 @@
 // with all their writes visible to the caller (the driver thread). Collective
 // operations (exchange, broadcast, barrier, stats reads) stay on the driver
 // thread between run_ranks() calls. The event-driven RC exchange keeps the
-// same shape: pipelined_exchange() and the EventQueue processing loop
-// (including relax-on-arrival ingest) run entirely on the driver thread
-// between rank phases, so the event order — and with it the async delivery
-// trace — is identical across backends and across repeated threaded runs.
+// same shape: pipelined_exchange() and the delivery trace run on the driver
+// thread; each rank then ingests its own arrivals inside the rank phase,
+// touching only its own clock, so the trace and every result are identical
+// across backends and across repeated threaded runs.
 #pragma once
 
 #include <cstddef>

@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "runtime/alltoall.hpp"
-#include "runtime/event_loop.hpp"
 #include "runtime/logp.hpp"
 #include "runtime/mailbox.hpp"
 #include "runtime/message.hpp"
@@ -36,6 +35,34 @@
 namespace aa {
 
 class MetricsRegistry;
+
+/// One scheduled delivery of an event-driven exchange: `message` becomes
+/// visible to its receiver at simulated time `time`. `source` duplicates
+/// message.from for ordering; `seq` is the cluster-assigned position in
+/// canonical drain order (monotone across exchanges, so it is unique and a
+/// receiver's canonical inbox order is ascending seq).
+struct DeliveryEvent {
+    double time{0};
+    RankId source{0};
+    std::uint64_t seq{0};
+    Message message;
+};
+
+/// Delivery order: (time, source rank, seq) lexicographic. The timestamp
+/// alone is not enough — two messages can arrive at the same instant (equal
+/// payloads under ParallelRounds, zero-byte control traffic) — so source
+/// rank then seq break every tie, and the order is a pure function of the
+/// simulated state on every host and backend. Timestamps are finite and
+/// non-negative by schedule_arrivals' contract.
+inline bool delivered_before(const DeliveryEvent& a, const DeliveryEvent& b) {
+    if (a.time != b.time) {
+        return a.time < b.time;
+    }
+    if (a.source != b.source) {
+        return a.source < b.source;
+    }
+    return a.seq < b.seq;
+}
 
 /// Cumulative per-rank accounting, for reports and tests. Sent-side counters
 /// advance at send() time; received-side counters advance at delivery
@@ -64,21 +91,11 @@ struct ClusterStats {
 class Cluster {
 public:
     explicit Cluster(std::uint32_t num_ranks, LogPParams params = {},
-                     CommSchedule schedule = CommSchedule::SerializedAllToAll,
-                     PriceModel price_model = PriceModel::PerByte);
+                     CommSchedule schedule = CommSchedule::SerializedAllToAll);
 
     std::uint32_t num_ranks() const { return num_ranks_; }
     const LogPParams& params() const { return params_; }
     CommSchedule schedule() const { return schedule_; }
-    PriceModel price_model() const { return price_model_; }
-
-    /// Bytes the bandwidth term charges for one message: the wire size under
-    /// PriceModel::PerByte, the decoded entry footprint (16-byte header +
-    /// entries x sizeof(DvEntry)) under PerEntry for messages that declare an
-    /// entry count, the wire size otherwise. Traffic *accounting* (RankStats,
-    /// ClusterStats, metrics histograms) always records wire bytes — the
-    /// price model changes simulated time, never the byte bookkeeping.
-    std::size_t priced_bytes(const Message& message) const;
 
     /// Charge `ops` abstract operations to rank r's clock, spread over
     /// `threads` threads (the paper's multithreaded IA model). Rank-confined:
@@ -88,10 +105,8 @@ public:
     /// Post a message; it is delivered (and priced) at the next exchange()
     /// or pipelined_exchange(). Rank-confined by `from`: safe from concurrent
     /// callers for distinct senders (per-sender outboxes, per-sender stats
-    /// slots, no global accumulation). `entries` is the decoded DV-entry
-    /// count of a boundary payload, used only by PriceModel::PerEntry.
-    void send(RankId from, RankId to, MessageTag tag, std::vector<std::byte> payload,
-              std::size_t entries = 0);
+    /// slots, no global accumulation).
+    void send(RankId from, RankId to, MessageTag tag, std::vector<std::byte> payload);
 
     /// True if any message is waiting to be exchanged.
     bool has_pending_messages() const { return mailboxes_.has_pending(); }
@@ -102,17 +117,17 @@ public:
     double exchange();
 
     /// Event-driven exchange (driver-only): drain every outbox in canonical
-    /// all-to-all order, price each message under the price model, and
-    /// compute its deterministic arrival time with senders departing at
-    /// their *own* clocks (no entry barrier — see schedule_arrivals). The
-    /// returned events are in canonical order with monotone `seq`; messages
-    /// are NOT placed in inboxes — the caller owns delivery, advancing each
+    /// all-to-all order, price each message individually, and compute its
+    /// deterministic arrival time with senders departing at their *own*
+    /// clocks (no entry barrier — see schedule_arrivals). The returned
+    /// events are in canonical order with monotone `seq`; messages are NOT
+    /// placed in inboxes — the caller owns delivery, advancing each
     /// receiver's clock with advance_rank_to(to, event.time) before handing
-    /// it the payload. Receiver-side traffic accounting advances here (wire
-    /// bytes — delivery is certain once scheduled); comm_seconds accumulates
-    /// the exchange makespan (last arrival minus earliest sender departure)
-    /// and the exchange.* metrics record the same wire-byte totals as the
-    /// collective path. Clocks are left untouched.
+    /// it the payload. Receiver-side traffic accounting advances here
+    /// (delivery is certain once scheduled); comm_seconds accumulates the
+    /// exchange makespan (last arrival minus earliest sender departure) and
+    /// the exchange.* metrics record the same totals as the collective path.
+    /// Clocks are left untouched.
     std::vector<DeliveryEvent> pipelined_exchange();
 
     /// Advance rank r's clock to at least `t` (event delivery: the receiver
@@ -168,7 +183,6 @@ private:
     std::uint32_t num_ranks_;
     LogPParams params_;
     CommSchedule schedule_;
-    PriceModel price_model_;
     MailboxSystem mailboxes_;
     std::vector<SimClock> clocks_;
     std::vector<RankStats> rank_stats_;

@@ -8,11 +8,14 @@
 // closeness, dirty order, per-step ops, and message traffic must stay
 // bit-identical to the step-synchronous default at every step. The lattice
 // below pins that across rank counts × both execution backends × both wire
-// formats, with a mid-RC vertex-addition batch in every run. The event loop
-// itself runs on the driver thread, so the delivery trace must also be
-// identical across backends and across repeated threaded runs.
+// formats, with a mid-RC vertex-addition batch in every run. The delivery
+// trace is built on the driver thread from the exchange's output, before any
+// rank ingests, so it must also be identical across backends and across
+// repeated threaded runs.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -34,12 +37,12 @@ struct RunResult {
     std::size_t total_messages{0};
     std::vector<RcStepStats> steps;
     std::vector<DeliveryTraceEntry> trace;
+    std::vector<MetricSpan> spans;
 };
 
 struct Overrides {
     bool rc_async{false};
     CommSchedule schedule{CommSchedule::SerializedAllToAll};
-    PriceModel price_model{PriceModel::PerByte};
     std::size_t ingest_window{0};
 };
 
@@ -56,7 +59,6 @@ RunResult run_scenario(std::uint32_t ranks, BackendKind backend,
     config.wire_format = format;
     config.rc_async = o.rc_async;
     config.schedule = o.schedule;
-    config.price_model = o.price_model;
     config.rc_ingest_window_bytes = o.ingest_window;
 
     AnytimeEngine engine(g, config);
@@ -85,6 +87,7 @@ RunResult run_scenario(std::uint32_t ranks, BackendKind backend,
     result.total_messages = engine.cluster().stats().total_messages;
     result.steps = engine.step_history();
     result.trace = engine.delivery_trace();
+    result.spans = engine.metrics().spans();
     return result;
 }
 
@@ -189,9 +192,9 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(RcAsyncDeterminism, ThreadedRunsReplayIdentically) {
     // Same seed, same config, two fresh engines on the threaded backend: the
-    // delivery traces (event pop order with timestamps) must match event for
-    // event, and so must every result. The event loop runs on the driver
-    // thread between rank phases, so worker scheduling cannot perturb it.
+    // delivery traces (delivery order with timestamps) must match event for
+    // event, and so must every result. Ranks ingest concurrently, but each
+    // only advances its own clock, so worker scheduling cannot perturb it.
     const Overrides async_pipelined{/*rc_async=*/true, CommSchedule::Pipelined};
     const RunResult a = run_scenario(8, BackendKind::Threaded,
                                      BoundaryWireFormat::V2Soa, async_pipelined);
@@ -212,6 +215,9 @@ TEST(RcAsyncDeterminism, BackendsShareOneTrace) {
     expect_identical_trace(seq, thr);
     expect_equivalent_modulo_timeline(seq, thr);
     EXPECT_EQ(seq.sim_seconds, thr.sim_seconds);
+    // Ranks ingest their arrivals concurrently under the threaded backend;
+    // the per-rank span sinks still merge into the sequential span stream.
+    EXPECT_EQ(seq.spans, thr.spans);
 }
 
 TEST(RcAsyncDeterminism, TraceIsInEventOrderPerStep) {
@@ -225,7 +231,7 @@ TEST(RcAsyncDeterminism, TraceIsInEventOrderPerStep) {
         if (prev.step != cur.step) {
             continue;  // new exchange, clock keyed from its own inflight start
         }
-        // (time, source, seq) lexicographic — the EventQueue contract.
+        // (time, source, seq) lexicographic — the delivered_before order.
         const bool ordered =
             prev.time < cur.time ||
             (prev.time == cur.time &&
@@ -280,56 +286,6 @@ TEST(RcIngest, AdaptiveResolutionRules) {
     EXPECT_EQ(thr_window, adaptive_rc_ingest_window_bytes(4));
 }
 
-TEST(PriceModel, PerEntryMakesSimSecondsFormatIndependent) {
-    // The point of the per-entry price model: v1 and v2 runs still ship
-    // different wire bytes (accounting is always wire-truthful), but the
-    // priced exchange time — and with it sim_seconds — no longer depends on
-    // the encoding.
-    const Overrides per_entry{/*rc_async=*/false,
-                              CommSchedule::SerializedAllToAll,
-                              PriceModel::PerEntry};
-    const RunResult v1 = run_scenario(4, BackendKind::Sequential,
-                                      BoundaryWireFormat::V1Aos, per_entry);
-    const RunResult v2 = run_scenario(4, BackendKind::Sequential,
-                                      BoundaryWireFormat::V2Soa, per_entry);
-    EXPECT_EQ(v1.sim_seconds, v2.sim_seconds);
-    ASSERT_EQ(v1.steps.size(), v2.steps.size());
-    for (std::size_t i = 0; i < v1.steps.size(); ++i) {
-        EXPECT_EQ(v1.steps[i].exchange_seconds, v2.steps[i].exchange_seconds)
-            << "step " << i;
-    }
-    EXPECT_LT(v2.total_bytes, v1.total_bytes);  // accounting stays wire-truthful
-    // And the results lattice still holds across formats under PerEntry.
-    expect_equivalent_modulo_timeline(v1, v2, /*same_bytes=*/false);
-}
-
-TEST(PriceModel, PerByteIsTheHistoricalDefault) {
-    const Overrides defaulted{};
-    Overrides explicit_per_byte{};
-    explicit_per_byte.price_model = PriceModel::PerByte;
-    const RunResult a = run_scenario(4, BackendKind::Sequential,
-                                     BoundaryWireFormat::V2Soa, defaulted);
-    const RunResult b = run_scenario(4, BackendKind::Sequential,
-                                     BoundaryWireFormat::V2Soa, explicit_per_byte);
-    expect_equivalent_modulo_timeline(a, b);
-    EXPECT_EQ(a.sim_seconds, b.sim_seconds);
-}
-
-TEST(PriceModel, PerEntryAsyncStillBitIdenticalToSync) {
-    // Price model and event-driven exchange compose: under PerEntry the
-    // async run must still reach the sync run's exact fixpoint.
-    Overrides sync_pe{/*rc_async=*/false, CommSchedule::SerializedAllToAll,
-                      PriceModel::PerEntry};
-    Overrides async_pe{/*rc_async=*/true, CommSchedule::SerializedAllToAll,
-                       PriceModel::PerEntry};
-    const RunResult s = run_scenario(4, BackendKind::Sequential,
-                                     BoundaryWireFormat::V2Soa, sync_pe);
-    const RunResult a = run_scenario(4, BackendKind::Sequential,
-                                     BoundaryWireFormat::V2Soa, async_pe);
-    expect_equivalent_modulo_timeline(s, a);
-    EXPECT_LE(a.sim_seconds, s.sim_seconds * (1 + 1e-12));
-}
-
 TEST(CommSchedule, PipelinedSyncMatchesSerializedResults) {
     // The Pipelined schedule in the step-synchronous engine: pure pricing
     // change, same fixpoint and work, never slower than the serialized wire.
@@ -344,5 +300,110 @@ TEST(CommSchedule, PipelinedSyncMatchesSerializedResults) {
     EXPECT_LE(b.sim_seconds, a.sim_seconds);
 }
 
+// ---- Golden timeline ------------------------------------------------------
+//
+// The absolute per-step timeline of run_scenario at P=4 (sequential backend,
+// v2 wire), recorded from the engine before the synchronous and event-driven
+// RC steps shared one phase-2/3 path. Synchronous steps must reproduce it bit
+// for bit. Event-driven steps must reproduce the work and traffic exactly;
+// their times may differ by reassociation only, because a rank now ingests
+// every message that has arrived by its clock in one call instead of one
+// call per message, which sums the same compute charges in a different order.
+
+struct GoldenStep {
+    double sim_seconds_after;
+    double exchange_seconds;
+    double ops;
+    std::size_t messages;
+    std::size_t bytes;
+};
+
+struct GoldenRun {
+    bool rc_async;
+    CommSchedule schedule;
+    double sim_seconds;
+    std::vector<GoldenStep> steps;
+};
+
+const std::vector<GoldenRun>& golden_runs() {
+    static const std::vector<GoldenRun> runs{
+        {false, CommSchedule::SerializedAllToAll, 0x1.293f6d06d59e3p-7,
+         {{0x1.12f06cb8a5629p-10, 0x1.0c73c58e58e29p-10, 0x1.697p+14, 12, 38008},
+          {0x1.1e546227eeb7cp-9, 0x1.26b119bdec345p-10, 0x1.44e4p+14, 12, 50520},
+          {0x1.825764d3c2628p-8, 0x1.27bfaef97498p-10, 0x1.01ap+14, 12, 51024},
+          {0x1.b9985d8634ffdp-8, 0x1.b85e4d34b3886p-11, 0x1.13bp+12, 12, 14992},
+          {0x1.eae0a16427b13p-8, 0x1.89dca6f942657p-11, 0x1.fc8p+9, 12, 3904},
+          {0x1.0d7dabc20d7e7p-7, 0x1.80b3999ff9b01p-11, 0x1.65p+8, 12, 1720},
+          {0x1.2352f785d2b2p-7, 0x1.5d48ec94239f3p-11, 0x1.b8p+6, 11, 776},
+          {0x1.293f6d06d59e3p-7, 0x1.7b1914bdc105p-13, 0x1.4p+3, 3, 96}}},
+        {false, CommSchedule::Pipelined, 0x1.1b79ac9ea99e7p-8,
+         {{0x1.41ff9ad83b47p-12, 0x1.280cfe2f0946cp-12, 0x1.697p+14, 12, 38008},
+          {0x1.3ef936e8d2c4ap-11, 0x1.2fd5db943aep-12, 0x1.44e4p+14, 12, 50520},
+          {0x1.c89ef8fa02c19p-9, 0x1.3330d9e79275ep-12, 0x1.01ap+14, 12, 51024},
+          {0x1.e57a6227ffe63p-9, 0x1.c710b1644cc1fp-13, 0x1.13bp+12, 12, 14992},
+          {0x1.fed6e5c7c34bbp-9, 0x1.94325a22e9c28p-13, 0x1.fc8p+9, 12, 3904},
+          {0x1.0b906f479fe64p-8, 0x1.84172ef945596p-13, 0x1.65p+8, 12, 1720},
+          {0x1.17869cb5ed20dp-8, 0x1.7e966f28e8e8ap-13, 0x1.b8p+6, 11, 776},
+          {0x1.1b79ac9ea99e7p-8, 0x1.f976c65256b16p-15, 0x1.4p+3, 3, 96}}},
+        {true, CommSchedule::SerializedAllToAll, 0x1.28dad8b2a03dp-7,
+         {{0x1.11ec0ad42ed6p-10, 0x1.0cb703c8f38a9p-10, 0x1.697p+14, 12, 38008},
+          {0x1.1d6647fae93d5p-9, 0x1.26e64032c26c3p-10, 0x1.44e4p+14, 12, 50520},
+          {0x1.81aa26feb0debp-8, 0x1.27edb85d5cafcp-10, 0x1.01ap+14, 12, 51024},
+          {0x1.b8da727e94a27p-8, 0x1.b8bf34efdd048p-11, 0x1.13bp+12, 12, 14992},
+          {0x1.ea1aa02fec8d9p-8, 0x1.89e71f0883dd8p-11, 0x1.fc8p+9, 12, 3904},
+          {0x1.0d19690890abdp-7, 0x1.80b4231058f28p-11, 0x1.65p+8, 12, 1720},
+          {0x1.22ee677d204adp-7, 0x1.5d4c25365f27p-11, 0x1.b8p+6, 11, 776},
+          {0x1.28dad8b2a03dp-7, 0x1.7b1b3a7f3e08p-13, 0x1.4p+3, 3, 96}}},
+        {true, CommSchedule::Pipelined, 0x1.1abed7dd2cf82p-8,
+         {{0x1.3f6df0206c384p-12, 0x1.2a59f0b737ba3p-12, 0x1.697p+14, 12, 38008},
+          {0x1.3bb9108815eb7p-11, 0x1.30c7731bab823p-12, 0x1.44e4p+14, 12, 50520},
+          {0x1.c75c61586e905p-9, 0x1.343a9a2fc18ep-12, 0x1.01ap+14, 12, 51024},
+          {0x1.e40d1c20d6f47p-9, 0x1.c8945050f2aep-13, 0x1.13bp+12, 12, 14992},
+          {0x1.fd640dd2be156p-9, 0x1.94affad9fb5fp-13, 0x1.fc8p+9, 12, 3904},
+          {0x1.0ad5d6a74cec7p-8, 0x1.84466d9a03c3p-13, 0x1.65p+8, 12, 1720},
+          {0x1.16cbc7f4707a8p-8, 0x1.7ea351b1d706p-13, 0x1.b8p+6, 11, 776},
+          {0x1.1abed7dd2cf82p-8, 0x1.f97f5d584acp-15, 0x1.4p+3, 3, 96}}},
+    };
+    return runs;
+}
+
+/// Exact equality for synchronous runs, 1e-12 relative for event-driven ones.
+void expect_golden_time(double got, double want, bool rc_async,
+                        const std::string& what) {
+    if (rc_async) {
+        EXPECT_NEAR(got, want, 1e-12 * std::abs(want)) << what;
+    } else {
+        EXPECT_EQ(got, want) << what;
+    }
+}
+
+TEST(RcStepTimeline, MatchesParent) {
+    for (const GoldenRun& golden : golden_runs()) {
+        const std::string mode =
+            std::string(golden.rc_async ? "async" : "sync") +
+            (golden.schedule == CommSchedule::Pipelined ? "/pipelined"
+                                                        : "/serialized");
+        const RunResult r =
+            run_scenario(4, BackendKind::Sequential, BoundaryWireFormat::V2Soa,
+                         {golden.rc_async, golden.schedule});
+        expect_golden_time(r.sim_seconds, golden.sim_seconds, golden.rc_async,
+                           mode + " final sim_seconds");
+        ASSERT_EQ(r.steps.size(), golden.steps.size()) << mode;
+        for (std::size_t i = 0; i < golden.steps.size(); ++i) {
+            const GoldenStep& want = golden.steps[i];
+            const RcStepStats& got = r.steps[i];
+            const std::string at = mode + " step " + std::to_string(i);
+            expect_golden_time(got.sim_seconds_after, want.sim_seconds_after,
+                               golden.rc_async, at + " sim_seconds_after");
+            expect_golden_time(got.exchange_seconds, want.exchange_seconds,
+                               golden.rc_async, at + " exchange_seconds");
+            EXPECT_EQ(got.ops, want.ops) << at;
+            EXPECT_EQ(got.messages, want.messages) << at;
+            EXPECT_EQ(got.bytes, want.bytes) << at;
+        }
+    }
+}
+
 }  // namespace
 }  // namespace aa
+
