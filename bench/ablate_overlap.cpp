@@ -71,7 +71,7 @@ BenchOptions parse(int argc, char** argv) {
 }
 
 /// Exactly `n` vertices of R-MAT structure (same construction as the RC
-/// kernel and wire-format ablations so the benches describe one instance).
+/// kernel ablation so the benches describe one instance).
 DynamicGraph filtered_rmat(std::size_t n, std::size_t edges, Rng& rng) {
     std::size_t scale = 1;
     while ((std::size_t{1} << scale) < n) {

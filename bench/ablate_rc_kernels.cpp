@@ -133,12 +133,11 @@ std::unique_ptr<RankState> build_state(const DynamicGraph& g,
     return st;
 }
 
-enum class Mode { Scalar, Untiled, Batched, Threaded };
+enum class Mode { Scalar, Batched, Threaded };
 
 const char* mode_name(Mode m) {
     switch (m) {
         case Mode::Scalar: return "scalar";
-        case Mode::Untiled: return "batched+untiled";
         case Mode::Batched: return "batched";
         case Mode::Threaded: return "batched+threaded";
     }
@@ -186,7 +185,6 @@ ModeResult run_mode(const RankState& base, Mode mode, std::size_t threads,
             RcPostProfile post_profile;
             const auto p0 = Clock::now();
             result.ops += rc_post_boundary_updates(base.sgs[r], stores[r], cluster,
-                                                   BoundaryWireFormat::V2Soa,
                                                    mx ? &post_profile : nullptr);
             if (mx) {
                 MetricSpan span;
@@ -224,7 +222,6 @@ ModeResult run_mode(const RankState& base, Mode mode, std::size_t threads,
                 case Mode::Scalar:
                     ingest = rc_ingest_updates_scalar(base.sgs[r], stores[r], inbox);
                     break;
-                case Mode::Untiled:
                 case Mode::Batched:
                     ingest = rc_ingest_updates(base.sgs[r], stores[r], inbox,
                                                BoundaryWireFormat::V2Soa,
@@ -244,15 +241,6 @@ ModeResult run_mode(const RankState& base, Mode mode, std::size_t threads,
             switch (mode) {
                 case Mode::Scalar:
                     propagate = rc_propagate_local_scalar(base.sgs[r], stores[r]);
-                    break;
-                case Mode::Untiled:
-                    // The batched sweep with row blocking disabled
-                    // (tile_cols = 0): isolates what the gathered L1-resident
-                    // tiles buy on top of batching.
-                    propagate = rc_propagate_local(base.sgs[r], stores[r], nullptr,
-                                                   kRcPropagateParallelGrain,
-                                                   mx ? &prop_profile : nullptr,
-                                                   /*tile_cols=*/0);
                     break;
                 case Mode::Batched:
                     propagate = rc_propagate_local(base.sgs[r], stores[r], nullptr,
@@ -363,11 +351,9 @@ int main(int argc, char** argv) {
         std::printf("   warm-up...\n");
         (void)run_mode(*state, Mode::Batched, opt.threads, opt.rounds);
 
-        ModeResult results[4];
-        const Mode modes[4] = {Mode::Scalar, Mode::Untiled, Mode::Batched,
-                               Mode::Threaded};
-        constexpr int kModes = 4;
-        constexpr int kBatched = 2;  // index of the tiled batched reference
+        const Mode modes[] = {Mode::Scalar, Mode::Batched, Mode::Threaded};
+        constexpr int kModes = 3;
+        ModeResult results[kModes];
         for (int m = 0; m < kModes; ++m) {
             results[m] = run_mode(*state, modes[m], opt.threads, opt.rounds);
             std::printf("   %-17s kernel %8.3fs (ingest %7.3fs / prop %7.3fs)  "
@@ -384,15 +370,10 @@ int main(int argc, char** argv) {
                 return 1;
             }
         }
-        const double sp_batched =
-            results[0].kernel_seconds / results[kBatched].kernel_seconds;
-        const double sp_threaded = results[0].kernel_seconds / results[3].kernel_seconds;
-        // Tiling only touches the propagate sweep; compare that phase alone.
-        const double sp_tiled =
-            results[1].propagate_seconds / results[kBatched].propagate_seconds;
-        std::printf("   speedup: batched %.2fx, batched+threaded %.2fx, "
-                    "tiled propagate %.2fx over untiled\n",
-                    sp_batched, sp_threaded, sp_tiled);
+        const double sp_batched = results[0].kernel_seconds / results[1].kernel_seconds;
+        const double sp_threaded = results[0].kernel_seconds / results[2].kernel_seconds;
+        std::printf("   speedup: batched %.2fx, batched+threaded %.2fx\n", sp_batched,
+                    sp_threaded);
 
         // Overhead check: rerun Batched with a *disabled* registry attached.
         // Every metrics hook is live but short-circuits on the enabled bit,
@@ -400,7 +381,7 @@ int main(int argc, char** argv) {
         MetricsRegistry disabled;
         const ModeResult off =
             run_mode(*state, Mode::Batched, opt.threads, opt.rounds, &disabled);
-        const double off_ratio = off.kernel_seconds / results[kBatched].kernel_seconds;
+        const double off_ratio = off.kernel_seconds / results[1].kernel_seconds;
         std::printf("   disabled-metrics kernel %8.3fs (%.3fx of batched)\n",
                     off.kernel_seconds, off_ratio);
 
@@ -432,11 +413,9 @@ int main(int argc, char** argv) {
         char sp[320];
         std::snprintf(sp, sizeof(sp),
                       "], \"speedup_batched\": %.3f, \"speedup_batched_threaded\": "
-                      "%.3f, \"speedup_tiled_propagate\": %.3f, "
-                      "\"disabled_metrics_kernel_seconds\": %.6f, "
+                      "%.3f, \"disabled_metrics_kernel_seconds\": %.6f, "
                       "\"disabled_metrics_overhead\": %.3f,\n     \"timeline\": ",
-                      sp_batched, sp_threaded, sp_tiled, off.kernel_seconds,
-                      off_ratio);
+                      sp_batched, sp_threaded, off.kernel_seconds, off_ratio);
         json += sp;
         json += metrics_to_json(instrumented, 5);
         json += "}";

@@ -486,8 +486,7 @@ ShrinkReport AnytimeEngine::apply_deletion(const ShrinkBatch& batch) {
                     continue;
                 }
                 cluster_->send(p, dest, MessageTag::ShrinkRaise,
-                               encode_boundary_blocks(per_dest[dest],
-                                                      config_.wire_format));
+                               encode_boundary_blocks(per_dest[dest]));
             }
             // Ship the pulls, one sorted request per owner; the reply comes
             // back in the same order, matched through the FIFO.
@@ -536,8 +535,7 @@ ShrinkReport AnytimeEngine::apply_deletion(const ShrinkBatch& batch) {
                     continue;
                 }
                 AA_ASSERT(m.tag == MessageTag::ShrinkRaise);
-                for (const BoundaryBlock& block :
-                     decode_boundary_blocks(m.bytes(), config_.wire_format)) {
+                for (const BoundaryBlock& block : decode_boundary_blocks(m.bytes())) {
                     for (const DvEntry& e : block.entries) {
                         AA_ASSERT(e.column < n);
                         c.cache.slot(pull_key(block.vertex, e.column)) = kInfinity;

@@ -14,7 +14,7 @@
 //      DistanceStore::mark_invalidated and the raise cascades to the
 //      neighbours that depended on it — across ranks as ShrinkRaise messages
 //      carrying the pre-raise value, encoded with the same boundary-block
-//      codecs (both wire formats) as the regular RC exchange. A support
+//      codec as the regular RC exchange. A support
 //      check that needs a cross-rank distance d(x, t) pulls it from x's
 //      owner on demand (ShrinkViewRequest / ShrinkViewReply, one exchange per
 //      cascade round); each rank caches what it learned, and a raise
@@ -26,7 +26,7 @@
 //      prop/send worklists (a finite neighbour of an invalidated entry owes
 //      it a relaxation; a finite cut-edge endpoint owes the invalidating rank
 //      a resend), after which the unchanged RC machinery — sync or rc_async,
-//      either backend, either wire format — reconverges by monotone decrease.
+//      either backend — reconverges by monotone decrease.
 //
 // Over-invalidation is harmless (re-settlement relearns it); the design only
 // has to avoid *under*-invalidation, which the support inequality guarantees

@@ -53,14 +53,10 @@ AnytimeEngine::AnytimeEngine(DynamicGraph graph, EngineConfig config)
       metrics_(std::make_unique<MetricsRegistry>()),
       demand_(std::make_unique<DemandTracker>(graph_.num_vertices())) {
     AA_ASSERT_MSG(config_.num_ranks >= 1, "need at least one rank");
-    // Resolve the ingest window once: the 0 sentinel adapts to the host LLC
-    // shared by however many ranks ingest concurrently (all of them under a
-    // concurrent backend). An explicit configured value always wins.
-    rc_ingest_window_bytes_ =
-        config_.rc_ingest_window_bytes != 0
-            ? config_.rc_ingest_window_bytes
-            : adaptive_rc_ingest_window_bytes(
-                  backend_->concurrent() ? config_.num_ranks : 1);
+    // Resolve the ingest window once: the host LLC shared by however many
+    // ranks ingest concurrently (all of them under a concurrent backend).
+    rc_ingest_window_bytes_ = adaptive_rc_ingest_window_bytes(
+        backend_->concurrent() ? config_.num_ranks : 1);
     if (config_.enable_metrics) {
         metrics_->enable();
     }
@@ -260,7 +256,6 @@ void AnytimeEngine::initialize() {
         RankState state;
         state.sg = LocalSubgraph(r, ownership_);
         state.store = DistanceStore(n);
-        state.store.set_simd_enabled(config_.rc_simd);
         for (const VertexId v : state.sg.local_vertices()) {
             state.store.add_row(v);
         }
@@ -326,7 +321,7 @@ double AnytimeEngine::ingest_on_rank(RankId r, const std::vector<Message>& inbox
     RcIngestProfile profile;
     const double t0 = cluster_->time(r);
     const double ops = rc_ingest_updates(
-        ranks_[r].sg, ranks_[r].store, inbox, config_.wire_format,
+        ranks_[r].sg, ranks_[r].store, inbox, BoundaryWireFormat::V2Soa,
         kernel_pool(), kRcIngestParallelGrain, rc_ingest_window_bytes_,
         sink != nullptr ? &profile : nullptr);
     cluster_->charge_compute(r, ops);
@@ -379,8 +374,8 @@ bool AnytimeEngine::rc_step() {
         RcPostProfile profile;
         const double t0 = cluster_->time(r);
         const double ops = rc_post_boundary_updates(
-            ranks_[r].sg, ranks_[r].store, *cluster_, config_.wire_format,
-            mx ? &profile : nullptr, refine_plans[r]);
+            ranks_[r].sg, ranks_[r].store, *cluster_, mx ? &profile : nullptr,
+            refine_plans[r]);
         cluster_->charge_compute(r, ops);
         post_ops[r] = ops;
         if (mx) {
@@ -500,8 +495,8 @@ bool AnytimeEngine::rc_step() {
         const double t0 = cluster_->time(r);
         const double ops = rc_propagate_local(
             ranks_[r].sg, ranks_[r].store, kernel_pool(),
-            kRcPropagateParallelGrain, mx ? &profile : nullptr,
-            kRcPropagateTileCols, refine_plans[r], step_budgets[r]);
+            kRcPropagateParallelGrain, mx ? &profile : nullptr, refine_plans[r],
+            step_budgets[r]);
         cluster_->charge_compute(r, ops);
         phase3_ops[r] += ops;
         if (mx) {
@@ -878,7 +873,6 @@ AnytimeEngine AnytimeEngine::load_checkpoint(std::istream& in, EngineConfig conf
         RankState state;
         state.sg = LocalSubgraph(r, engine.ownership_);
         state.store = DistanceStore(n);
-        state.store.set_simd_enabled(config.rc_simd);
         for (const VertexId v : state.sg.local_vertices()) {
             state.store.add_row(v);
         }

@@ -118,24 +118,6 @@ struct EngineConfig {
     BackendKind backend{BackendKind::Sequential};
     /// Worker threads for the threaded backend; 0 = one per rank.
     std::size_t backend_threads{0};
-    /// Boundary-DV wire format for the RC exchange (see
-    /// BoundaryWireFormat in core/distance_store.hpp and the accounting note
-    /// in core/rc.hpp). Distances, dirty order and op counts are
-    /// bit-identical across formats; v2 ships fewer bytes, so exchange time
-    /// (and sim_seconds) improves under it.
-    BoundaryWireFormat wire_format{BoundaryWireFormat::V2Soa};
-    /// Payload-window size for the RC ingest kernel (see rc.hpp). Windowing
-    /// never changes results — a 256-byte window and a 128 MB window produce
-    /// bit-identical state — only cache behaviour. 0 (the default) resolves
-    /// adaptively at engine construction: the host LLC divided by the number
-    /// of ranks that ingest concurrently (all of them under the threaded
-    /// backend, one under the sequential), clamped to [4 MiB, 128 MiB] — see
-    /// adaptive_rc_ingest_window_bytes. An explicit value always wins.
-    std::size_t rc_ingest_window_bytes{0};
-    /// Allow the explicit SIMD relaxation sweeps (effective only when built
-    /// with -DAA_ENABLE_SIMD=ON on hardware with AVX2; results are
-    /// bit-identical to the scalar reference either way).
-    bool rc_simd{true};
     /// How the RC kernels order per-rank work (see refine/planner.hpp).
     /// Uniform — the default — keeps the historical ascending sweeps and is
     /// bit-identical to the pre-refine engine by contract (schedule, ops,
@@ -295,10 +277,10 @@ public:
     /// Apply the given shard moves through the migration protocol
     /// (core/migrate.cpp): drain in-flight boundary messages, ship each
     /// moving shard's DV rows + adjacency over the wire (boundary-block
-    /// encoding, both formats), republish the shard map, splice the rows out
-    /// of / into the rank states, and re-settle locally. Converged state
-    /// afterwards is bit-identical to a from-scratch engine on the final
-    /// assignment. No-op moves (unknown shard, same rank) are skipped.
+    /// encoding), republish the shard map, splice the rows out of / into the
+    /// rank states, and re-settle locally. Converged state afterwards is
+    /// bit-identical to a from-scratch engine on the final assignment. No-op
+    /// moves (unknown shard, same rank) are skipped.
     void migrate_shards(std::span<const ShardMove> moves);
 
     /// What the telemetry-driven planner would move right now (bounded by
@@ -448,8 +430,10 @@ public:
         return delivery_trace_;
     }
 
-    /// The ingest window actually in effect (the adaptive resolution of the
-    /// config's 0 sentinel, or the explicit configured value).
+    /// The ingest window in effect: adaptive_rc_ingest_window_bytes of the
+    /// number of ranks that ingest concurrently (all of them under a
+    /// concurrent backend, one under the sequential), resolved once at
+    /// construction.
     std::size_t rc_ingest_window_bytes_effective() const {
         return rc_ingest_window_bytes_;
     }
@@ -553,7 +537,7 @@ private:
     EngineReport report_;
     std::vector<RcStepStats> step_history_;
     std::vector<DeliveryTraceEntry> delivery_trace_;
-    std::size_t rc_ingest_window_bytes_{0};  // resolved from config at ctor
+    std::size_t rc_ingest_window_bytes_{0};  // resolved at construction
     std::unique_ptr<MetricsRegistry> metrics_;
     std::size_t last_moved_vertices_{0};
     std::function<void(AnytimeEngine&)> boundary_hook_;

@@ -4,7 +4,9 @@
 //   1. every rank packages the changed entries of its boundary-vertex DVs
 //      into one personalized message per neighbouring rank,
 //   2. a personalized all-to-all exchange delivers them (priced by the
-//      cluster's LogP model under the serialized schedule),
+//      cluster's LogP model: Cluster::exchange() as a barrier, or
+//      Cluster::pipelined_exchange() with one arrival time per message, see
+//      EngineConfig::rc_async),
 //   3. every rank relaxes its local vertices through the incident cut edges
 //      using the received external boundary DVs, then propagates the
 //      improvements within its sub-graph to a local fixpoint (the paper's
@@ -14,8 +16,8 @@
 // The engine sequences these per rank; the functions here are the per-rank
 // kernels and each returns the abstract op count it executed.
 //
-// Execution modes. The default kernels run *batched*: whole DV-entry spans
-// are relaxed through DistanceStore::relax_batch instead of per-element
+// Execution modes. The kernels run *batched*: whole DV-entry spans are
+// relaxed through DistanceStore::relax_batch_soa instead of per-element
 // relax() calls, and, when a ThreadPool is supplied, the row sweeps run in
 // parallel (rows are written by exactly one task each; the worklist merge is
 // the only synchronization point). The `_scalar` variants preserve the
@@ -43,26 +45,16 @@
 //   * rc_propagate_local — one op per drained column per local neighbour of
 //     the drained row (again one attempted relaxation each).
 //
-// Wire formats and the bytes-on-wire accounting change. The boundary-DV
-// payload exists in two layouts (BoundaryWireFormat in distance_store.hpp):
-// the historical v1 array-of-structs blocks and the v2 struct-of-arrays
-// blocks (delta/run-length varint columns + aligned f64 run). Op pricing is
-// charged identically under both — per drained column and per serialized
-// entry per block, never per byte — so the relaxation schedule, distance
-// matrices, dirty-append order, and op counts are bit-identical across
-// formats. What deliberately changes is the *byte count* handed to the LogP
-// model: v2 payloads are smaller, so exchange time (and therefore
-// sim_seconds) improves under v2. This is an intentional accounting change
-// of the same kind as PR 1's encode-once pricing: the simulated cluster
-// charges for the bytes an MPI rank would actually put on the wire, and the
-// wire just got cheaper. To keep the schedule format-independent, the post
-// kernel canonicalizes each block's columns into ascending order for BOTH
-// formats (columns within a block are unique, so ordering cannot change any
-// relaxation outcome, op count, or dirty-set content — it only fixes the
-// within-block entry order and makes payload bytes a pure function of the
-// drained set), and the ingest window accounting below measures both formats
-// by their *decoded* footprint (entries x sizeof(DvEntry)), so window splits
-// are identical under either format.
+// Wire format. The boundary-DV payload is a concatenation of struct-of-arrays
+// blocks (see encode_boundary_blocks): delta or run-length varint columns,
+// then an 8-aligned f64 distance run that receivers view in place. Ops are
+// charged per drained column and per serialized entry per block, never per
+// byte; the byte count goes to the LogP model, which prices exchange time
+// (and therefore sim_seconds) from it. The post kernel canonicalizes each
+// block's columns into ascending order (columns within a block are unique,
+// so ordering cannot change any relaxation outcome, op count, or dirty-set
+// content — it fixes the within-block entry order and makes payload bytes a
+// pure function of the drained set).
 #pragma once
 
 #include "core/distance_store.hpp"
@@ -97,11 +89,11 @@ struct RcPropagateProfile {
 
 /// Phase 1: drain every row's send-list and post one BoundaryDvUpdate message
 /// per neighbouring rank that shares a cut edge with the row's vertex. Each
-/// row's block is serialized once — in the requested wire format, columns
-/// canonically sorted ascending — and the encoded bytes are appended to every
-/// destination payload (see the accounting note above). Send-lists of
-/// interior rows are drained too (they have no audience; a row that later
-/// becomes boundary is re-marked in full by the edge-addition path).
+/// row's block is serialized once — columns canonically sorted ascending —
+/// and the encoded bytes are appended to every destination payload (see the
+/// accounting note above). Send-lists of interior rows are drained too (they
+/// have no audience; a row that later becomes boundary is re-marked in full
+/// by the edge-addition path).
 ///
 /// `row_order` (the refine planner's output, see refine/planner.hpp) makes
 /// the drain visit rows in that order instead of ascending LocalId; it must
@@ -113,7 +105,6 @@ struct RcPropagateProfile {
 /// Returns ops.
 double rc_post_boundary_updates(const LocalSubgraph& sg, DistanceStore& store,
                                 Cluster& cluster,
-                                BoundaryWireFormat format = BoundaryWireFormat::V2Soa,
                                 RcPostProfile* profile = nullptr,
                                 std::span<const LocalId> row_order = {});
 
@@ -124,38 +115,37 @@ inline constexpr std::size_t kRcIngestParallelGrain = 8192;
 
 /// Default payload-window size for the ingest kernel, chosen to keep one
 /// window of decoded wire entries resident in the last-level cache while its
-/// destination rows are swept. Configurable per engine via
-/// EngineConfig::rc_ingest_window_bytes; windowing never changes results
-/// (blocks are never torn, within-row arrival order is preserved), only the
-/// cache behaviour of the sweep.
+/// destination rows are swept. The engine passes the adaptive size below;
+/// windowing never changes results (blocks are never torn, within-row
+/// arrival order is preserved), only the cache behaviour of the sweep.
 inline constexpr std::size_t kRcIngestWindowBytes = std::size_t{128} << 20;
 
-/// Adaptive resolution of the window size for EngineConfig's 0 sentinel: the
-/// host's last-level cache size divided by the number of ranks whose ingest
-/// phases share it (a ThreadedBackend runs them concurrently), clamped to
-/// [4 MiB, 128 MiB]. Falls back to the L2 size, then to 32 MiB, when the host
-/// does not report an LLC. Windowing never changes results, so the adaptive
-/// choice only moves the cache sweet spot — an explicit config value always
-/// wins (pinned by RcIngest.AdaptiveWindowMatchesFixed).
+/// The ingest window the engine uses: the host's last-level cache size
+/// divided by the number of ranks whose ingest phases share it (a
+/// ThreadedBackend runs them concurrently), clamped to [4 MiB, 128 MiB].
+/// Falls back to the L2 size, then to 32 MiB, when the host does not report
+/// an LLC. Windowing never changes results, so the adaptive choice only
+/// moves the cache sweet spot.
 std::size_t adaptive_rc_ingest_window_bytes(std::size_t live_ranks);
+
+/// One value, kept only because perfbench/layers.cpp passes it to rc_ingest_updates.
+enum class BoundaryWireFormat : std::uint8_t { V2Soa = 2 };
 
 /// Phase 3a: apply received BoundaryDvUpdate messages — relax every local
 /// endpoint of each cut edge incident to an updated external vertex.
 /// Non-BoundaryDvUpdate messages are ignored (callers drain those contexts
-/// separately). `format` must match what the senders posted (the payload is
-/// not self-describing; the engine applies one config-wide format). Batched:
-/// blocks are decoded in place (zero copy — v2 column arrays are the one
-/// materialized piece) and processed in payload windows of ~window_bytes of
-/// decoded entries whose work is grouped by destination row, so a row is
-/// streamed from memory once per window instead of once per incident block
-/// and the window's entries stay cache-resident across all their sweeps;
-/// within each row, block-arrival order is preserved, keeping results
-/// bit-identical to the scalar kernel. With a multi-thread `pool`, a
+/// separately). Batched: blocks are decoded in place (zero copy — the column
+/// arrays are the one materialized piece) and processed in payload windows
+/// of ~window_bytes of decoded entries whose work is grouped by destination
+/// row, so a row is streamed from memory once per window instead of once per
+/// incident block and the window's entries stay cache-resident across all
+/// their sweeps; within each row, block-arrival order is preserved, keeping
+/// results bit-identical to the scalar kernel. With a multi-thread `pool`, a
 /// window's row groups (pairwise-disjoint rows) are relaxed in parallel.
 /// Returns ops.
 double rc_ingest_updates(const LocalSubgraph& sg, DistanceStore& store,
                          const std::vector<Message>& inbox,
-                         BoundaryWireFormat format = BoundaryWireFormat::V2Soa,
+                         BoundaryWireFormat /*format*/ = BoundaryWireFormat::V2Soa,
                          ThreadPool* pool = nullptr,
                          std::size_t parallel_grain = kRcIngestParallelGrain,
                          std::size_t window_bytes = kRcIngestWindowBytes,
@@ -169,14 +159,13 @@ inline constexpr std::size_t kRcPropagateParallelGrain = 8192;
 
 /// Column-tile width of the row-blocked propagate sweep. A drained row's
 /// changed source values are gathered tile-by-tile into a contiguous scratch
-/// buffer (tile_cols x 8 bytes — the default keeps it L1-resident) which is
+/// buffer (kRcPropagateTileCols x 8 bytes keeps it L1-resident) which is
 /// then swept into *every* neighbour row while still hot, so the scattered
 /// source-row gather happens once per tile instead of once per neighbour.
-/// 0 disables tiling (the per-neighbour relax_batch_from_row reference path,
-/// kept for the kernel ablation bench). Tiling cannot change results: each
-/// (neighbour, column) pair is relaxed exactly once with the same candidate,
-/// columns stay in ascending order per neighbour, and worklist pushes happen
-/// in neighbour order after the row's full sweep either way.
+/// Tiling cannot change results: each (neighbour, column) pair is relaxed
+/// exactly once with the same candidate, columns stay in ascending order per
+/// neighbour, and worklist pushes happen in neighbour order after the row's
+/// full sweep.
 inline constexpr std::size_t kRcPropagateTileCols = 4096;
 
 /// Phase 3b: within-rank propagation to fixpoint. Drains the prop worklists
@@ -206,7 +195,6 @@ double rc_propagate_local(const LocalSubgraph& sg, DistanceStore& store,
                           ThreadPool* pool = nullptr,
                           std::size_t parallel_grain = kRcPropagateParallelGrain,
                           RcPropagateProfile* profile = nullptr,
-                          std::size_t tile_cols = kRcPropagateTileCols,
                           std::span<const LocalId> seed_order = {},
                           double max_ops = 0);
 
@@ -214,32 +202,26 @@ double rc_propagate_local(const LocalSubgraph& sg, DistanceStore& store,
 /// kernels. Kept as ground truth for tests and the rc-kernel ablation bench;
 /// bit-identical results and op counts to the batched/threaded paths.
 double rc_ingest_updates_scalar(const LocalSubgraph& sg, DistanceStore& store,
-                                const std::vector<Message>& inbox,
-                                BoundaryWireFormat format = BoundaryWireFormat::V2Soa);
+                                const std::vector<Message>& inbox);
 double rc_propagate_local_scalar(const LocalSubgraph& sg, DistanceStore& store);
 
-/// Serialize the payload of one boundary update: repeated blocks, layout per
-/// `format`.
-///   V1Aos: [u32 vertex][u64 count][count x 12-byte DvEntry].
-///   V2Soa: [u32 vertex][varint count][u8 col_encoding][columns]
-///          [zero pad to 8][count x f64], where the columns are either
-///          delta-varints (encoding 0: first column absolute, then raw
-///          deltas >= 1) or run-length runs (encoding 1: varint run count,
-///          then per run a varint start gap and a varint (length - 1)); the
-///          encoder picks whichever is smaller per block (ties -> deltas).
-///          Every v2 block's total size is a multiple of 8, so concatenated
-///          blocks keep each distance run 8-aligned — the property that lets
-///          receivers view it in place as an aligned f64 span.
-/// V2 requires each block's entries sorted by strictly ascending column
-/// (asserted); rc_post_boundary_updates canonicalizes to that order for both
-/// formats.
+/// Serialize the payload of one boundary update: repeated blocks, each
+///   [u32 vertex][varint count][u8 col_encoding][columns]
+///   [zero pad to 8][count x f64],
+/// where the columns are either delta-varints (encoding 0: first column
+/// absolute, then raw deltas >= 1) or run-length runs (encoding 1: varint run
+/// count, then per run a varint start gap and a varint (length - 1)); the
+/// encoder picks whichever is smaller per block (ties -> deltas). Every
+/// block's total size is a multiple of 8, so concatenated blocks keep each
+/// distance run 8-aligned — the property that lets receivers view it in
+/// place as an aligned f64 span. Each block's entries must be sorted by
+/// strictly ascending column (asserted); rc_post_boundary_updates
+/// canonicalizes to that order.
 struct BoundaryBlock {
     VertexId vertex;
     std::vector<DvEntry> entries;
 };
-std::vector<std::byte> encode_boundary_blocks(
-    const std::vector<BoundaryBlock>& blocks,
-    BoundaryWireFormat format = BoundaryWireFormat::V2Soa);
+std::vector<std::byte> encode_boundary_blocks(const std::vector<BoundaryBlock>& blocks);
 
 /// Decode a boundary-update payload. The payload is validated structurally
 /// before anything proportional to a declared count is allocated; malformed
@@ -247,25 +229,9 @@ std::vector<std::byte> encode_boundary_blocks(
 /// encodings, non-monotone or overflowing column deltas, run lengths that
 /// disagree with the entry count, nonzero padding, entry counts past the
 /// payload end — overflow-safely) fail an AA_ASSERT contract check.
-std::vector<BoundaryBlock> decode_boundary_blocks(
-    std::span<const std::byte> payload,
-    BoundaryWireFormat format = BoundaryWireFormat::V2Soa);
+std::vector<BoundaryBlock> decode_boundary_blocks(std::span<const std::byte> payload);
 
-/// Zero-copy v1 variant: the same structural validation, but each block's
-/// entries stay in place as a DvEntrySpan over the payload bytes instead of
-/// being copied into an owning vector. Views are valid only while the
-/// payload's storage is alive — the ingest kernel consumes them inside the
-/// message loop. This is the decode the batched kernel uses for v1 payloads:
-/// the copying variant would stream every entry through memory twice before
-/// the first relaxation reads it.
-struct BoundaryBlockView {
-    VertexId vertex;
-    DvEntrySpan entries;
-};
-std::vector<BoundaryBlockView> decode_boundary_block_views(
-    std::span<const std::byte> payload);
-
-/// Zero-copy v2 variant: per block, a strictly-ascending column span and the
+/// Zero-copy variant: per block, a strictly-ascending column span and the
 /// aligned in-place f64 distance span — exactly the shape
 /// DistanceStore::relax_batch_soa consumes. The distance spans point into
 /// `payload`; the column spans point into `column_arena`, which the call

@@ -242,7 +242,6 @@ void AnytimeEngine::repartition_add(const GrowthBatch& batch) {
         RankState& state = ranks_[r];
         state.sg = LocalSubgraph(r, ownership_);
         state.store = DistanceStore(new_n);
-        state.store.set_simd_enabled(config_.rc_simd);
         for (const VertexId v : state.sg.local_vertices()) {
             state.store.add_row(v);
         }

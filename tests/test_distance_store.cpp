@@ -133,94 +133,19 @@ TEST(DistanceStore, PendingQueries) {
     EXPECT_FALSE(store.any_prop_pending());
 }
 
-TEST(DistanceStore, RelaxBatchMatchesRelaxLoop) {
-    // relax_batch must be exactly equivalent to per-entry relax() — same
-    // values, same improved count, same dirty-set contents — on random entry
-    // streams including duplicates, worse candidates, and epsilon-window
-    // near-ties.
-    Rng rng(99);
-    for (int round = 0; round < 20; ++round) {
-        DistanceStore a(64);
-        DistanceStore b(64);
-        const LocalId ra = a.add_row(0);
-        const LocalId rb = b.add_row(0);
-        std::vector<DvEntry> entries;
-        for (int i = 0; i < 200; ++i) {
-            entries.push_back({static_cast<VertexId>(rng.uniform(64)),
-                               rng.uniform(0.0, 10.0)});
-        }
-        const Weight offset = rng.uniform(0.0, 2.0);
-        std::size_t improved_loop = 0;
-        for (const DvEntry& e : entries) {
-            improved_loop += a.relax(ra, e.column, offset + e.distance) ? 1 : 0;
-        }
-        const std::size_t improved_batch = b.relax_batch(rb, entries, offset);
-        EXPECT_EQ(improved_loop, improved_batch);
-        for (VertexId c = 0; c < 64; ++c) {
-            EXPECT_EQ(a.at(ra, c), b.at(rb, c)) << "col " << c;
-        }
-        const auto pa = a.take_prop(ra);
-        const auto pb = b.take_prop(rb);
-        std::vector<VertexId> sa(pa.begin(), pa.end());
-        std::vector<VertexId> sb(pb.begin(), pb.end());
-        std::sort(sa.begin(), sa.end());
-        std::sort(sb.begin(), sb.end());
-        EXPECT_EQ(sa, sb);
-    }
-}
-
-TEST(DistanceStore, RelaxBatchFromRowMatchesRelaxLoop) {
-    // relax_batch_from_row (the propagate inner loop: candidates gathered
-    // from a source row instead of serialized entries) must match per-column
-    // relax() exactly.
-    Rng rng(321);
-    for (int round = 0; round < 20; ++round) {
-        DistanceStore a(64);
-        DistanceStore b(64);
-        const LocalId ua = a.add_row(0);
-        const LocalId va = a.add_row(1);
-        const LocalId ub = b.add_row(0);
-        const LocalId vb = b.add_row(1);
-        std::vector<VertexId> cols;
-        for (int i = 0; i < 40; ++i) {
-            const auto col = static_cast<VertexId>(rng.uniform(64));
-            const Weight d = rng.uniform(0.0, 10.0);
-            a.relax(ua, col, d);
-            b.relax(ub, col, d);
-            cols.push_back(col);
-        }
-        const Weight offset = rng.uniform(0.0, 2.0);
-        const auto src_a = a.row(ua);
-        std::size_t improved_loop = 0;
-        for (const VertexId col : cols) {
-            improved_loop += a.relax(va, col, offset + src_a[col]) ? 1 : 0;
-        }
-        const std::size_t improved_batch =
-            b.relax_batch_from_row(vb, cols, b.row(ub), offset);
-        EXPECT_EQ(improved_loop, improved_batch);
-        for (VertexId c = 0; c < 64; ++c) {
-            EXPECT_EQ(a.at(va, c), b.at(vb, c)) << "col " << c;
-        }
-        const auto pa = a.take_send(va);
-        const auto pb = b.take_send(vb);
-        std::vector<VertexId> sa(pa.begin(), pa.end());
-        std::vector<VertexId> sb(pb.begin(), pb.end());
-        std::sort(sa.begin(), sa.end());
-        std::sort(sb.begin(), sb.end());
-        EXPECT_EQ(sa, sb);
-    }
-}
-
 TEST(DistanceStore, RelaxBatchHonoursMarkFlags) {
     DistanceStore store(4);
     const LocalId r = store.add_row(0);
-    const std::vector<DvEntry> entries{{1, 1.0}, {2, 2.0}};
-    store.relax_batch(r, entries, 0.0, /*mark_prop=*/false, /*mark_send=*/true);
+    const std::vector<VertexId> cols{1, 2};
+    const std::vector<Weight> dists{1.0, 2.0};
+    store.relax_batch_soa(r, cols, dists, 0.0, /*mark_prop=*/false, /*mark_send=*/true);
     EXPECT_FALSE(store.has_prop(r));
     EXPECT_TRUE(store.has_send(r));
     (void)store.take_send(r);
-    const std::vector<DvEntry> more{{3, 1.5}};
-    store.relax_batch(r, more, 0.0, /*mark_prop=*/true, /*mark_send=*/false);
+    const std::vector<VertexId> more_cols{3};
+    const std::vector<Weight> more_dists{1.5};
+    store.relax_batch_soa(r, more_cols, more_dists, 0.0, /*mark_prop=*/true,
+                          /*mark_send=*/false);
     EXPECT_TRUE(store.has_prop(r));
     EXPECT_FALSE(store.has_send(r));
 }
@@ -350,7 +275,7 @@ TEST(DistanceStore, EpochWrapSurvivesInterleavedInvalidation) {
 }
 
 TEST(DistanceStore, RelaxBatchSoaMatchesRelaxLoop) {
-    // relax_batch_soa (the v2 ingest kernel: strictly-ascending column span
+    // relax_batch_soa (the ingest kernel: strictly-ascending column span
     // plus a parallel distance span) must match per-column relax() exactly —
     // values, improved count, and dirty-append order — with the SIMD sweep
     // both enabled and disabled.

@@ -3,7 +3,7 @@
 // indistinguishable from a from-scratch engine on the final graph —
 // bit-identical (distances AND closeness) for uniform/dyadic weights,
 // within the relaxation epsilon otherwise. The churn lattice sweeps
-// P in {2, 4, 8} x both backends x both wire formats x sync/async.
+// P in {2, 4, 8} x both backends x sync/async (tests/lattice.hpp).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +18,7 @@
 #include "core/engine.hpp"
 #include "core/strategies.hpp"
 #include "graph/generators.hpp"
+#include "lattice.hpp"
 
 namespace aa {
 namespace {
@@ -370,43 +371,24 @@ void run_churn(const EngineConfig& config) {
     expect_bit_identical(engine, mirror, config);
 }
 
-TEST(EngineDelete, ChurnLatticeSequential) {
-    for (const std::uint32_t ranks : {2u, 4u, 8u}) {
-        for (const BoundaryWireFormat wire :
-             {BoundaryWireFormat::V1Aos, BoundaryWireFormat::V2Soa}) {
-            for (const bool rc_async : {false, true}) {
-                EngineConfig config = shrink_config(ranks);
-                config.backend = BackendKind::Sequential;
-                config.wire_format = wire;
-                config.rc_async = rc_async;
-                SCOPED_TRACE(::testing::Message()
-                             << "ranks=" << ranks << " wire="
-                             << (wire == BoundaryWireFormat::V1Aos ? "v1" : "v2")
-                             << " async=" << rc_async);
-                run_churn(config);
-            }
+/// Every lattice case on `backend`, each checked by run_churn.
+void run_churn_lattice(BackendKind backend) {
+    for (const LatticeCase& c : lattice_cases()) {
+        const auto [ranks, case_backend, format, rc_async] = c;
+        if (case_backend != backend) {
+            continue;
         }
+        EngineConfig config = shrink_config(ranks);
+        config.backend = backend;
+        config.rc_async = rc_async;
+        SCOPED_TRACE(lattice_name(c));
+        run_churn(config);
     }
 }
 
-TEST(EngineDelete, ChurnLatticeThreaded) {
-    for (const std::uint32_t ranks : {2u, 4u, 8u}) {
-        for (const BoundaryWireFormat wire :
-             {BoundaryWireFormat::V1Aos, BoundaryWireFormat::V2Soa}) {
-            for (const bool rc_async : {false, true}) {
-                EngineConfig config = shrink_config(ranks);
-                config.backend = BackendKind::Threaded;
-                config.wire_format = wire;
-                config.rc_async = rc_async;
-                SCOPED_TRACE(::testing::Message()
-                             << "ranks=" << ranks << " wire="
-                             << (wire == BoundaryWireFormat::V1Aos ? "v1" : "v2")
-                             << " async=" << rc_async);
-                run_churn(config);
-            }
-        }
-    }
-}
+TEST(EngineDelete, ChurnLatticeSequential) { run_churn_lattice(BackendKind::Sequential); }
+
+TEST(EngineDelete, ChurnLatticeThreaded) { run_churn_lattice(BackendKind::Threaded); }
 
 TEST(EngineDelete, WeightedChurnWithinEpsilon) {
     // Non-dyadic weights forfeit bit-identity but not epsilon-exactness.
@@ -450,51 +432,45 @@ TEST(EngineDelete, InvalidationIndependentOfPartition) {
     bool first = true;
     ShrinkReport want;
     for (const std::uint32_t ranks : {1u, 2u, 4u, 8u}) {
-        for (const BoundaryWireFormat wire :
-             {BoundaryWireFormat::V1Aos, BoundaryWireFormat::V2Soa}) {
-            EngineConfig config = shrink_config(ranks);
-            config.wire_format = wire;
-            SCOPED_TRACE(::testing::Message()
-                         << "ranks=" << ranks << " wire="
-                         << (wire == BoundaryWireFormat::V1Aos ? "v1" : "v2"));
-            AnytimeEngine engine(g, config);
-            engine.initialize();
-            engine.run_to_quiescence();
-            engine.metrics().enable();
-            const ShrinkReport rep = engine.apply_deletion(batch);
-            engine.metrics().disable();
-            EXPECT_GT(rep.invalidated_entries, 0u);
-            if (ranks == 1) {
-                EXPECT_EQ(rep.pulled_entries, 0u);
-            } else {
-                EXPECT_GT(rep.pulled_entries, 0u);
-            }
-            // The delete span carries the cascade counters.
-            const auto& spans = engine.metrics().spans();
-            const auto span = std::find_if(spans.begin(), spans.end(),
-                                           [](const MetricSpan& s) {
-                                               return s.name == "delete";
-                                           });
-            ASSERT_NE(span, spans.end());
-            const auto attr = [&](const std::string& key) {
-                for (const auto& [k, v] : span->attrs) {
-                    if (k == key) {
-                        return v;
-                    }
-                }
-                return std::string("missing");
-            };
-            EXPECT_EQ(attr("cascade_rounds"), std::to_string(rep.cascade_rounds));
-            EXPECT_EQ(attr("pulled_entries"), std::to_string(rep.pulled_entries));
-            if (first) {
-                want = rep;
-                first = false;
-            }
-            EXPECT_EQ(rep.seed_suspects, want.seed_suspects);
-            EXPECT_EQ(rep.invalidated_entries, want.invalidated_entries);
-            engine.run_to_quiescence();
-            expect_bit_identical(engine, mirror, config);
+        const EngineConfig config = shrink_config(ranks);
+        SCOPED_TRACE(::testing::Message() << "ranks=" << ranks);
+        AnytimeEngine engine(g, config);
+        engine.initialize();
+        engine.run_to_quiescence();
+        engine.metrics().enable();
+        const ShrinkReport rep = engine.apply_deletion(batch);
+        engine.metrics().disable();
+        EXPECT_GT(rep.invalidated_entries, 0u);
+        if (ranks == 1) {
+            EXPECT_EQ(rep.pulled_entries, 0u);
+        } else {
+            EXPECT_GT(rep.pulled_entries, 0u);
         }
+        // The delete span carries the cascade counters.
+        const auto& spans = engine.metrics().spans();
+        const auto span = std::find_if(spans.begin(), spans.end(),
+                                       [](const MetricSpan& s) {
+                                           return s.name == "delete";
+                                       });
+        ASSERT_NE(span, spans.end());
+        const auto attr = [&](const std::string& key) {
+            for (const auto& [k, v] : span->attrs) {
+                if (k == key) {
+                    return v;
+                }
+            }
+            return std::string("missing");
+        };
+        EXPECT_EQ(attr("cascade_rounds"), std::to_string(rep.cascade_rounds));
+        EXPECT_EQ(attr("pulled_entries"), std::to_string(rep.pulled_entries));
+        if (first) {
+            want = rep;
+            first = false;
+        }
+        EXPECT_EQ(rep.seed_suspects, want.seed_suspects);
+        EXPECT_EQ(rep.invalidated_entries, want.invalidated_entries);
+        engine.run_to_quiescence();
+        expect_bit_identical(engine, mirror, config);
     }
 }
 

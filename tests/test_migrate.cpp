@@ -7,7 +7,7 @@
 //      distance, closeness score, simulated second and telemetry span is
 //      bit-identical between shards_per_rank = 8 (the new default) and
 //      shards_per_rank = 1 (the historical flat map), across the full
-//      P x backend x wire-format x sync/async lattice.
+//      P x backend x sync/async lattice.
 //
 //   2. Migration correctness — migrate_shards mid-RC (partially converged
 //      state, marked rows, in-flight updates) must land the engine, at
@@ -25,6 +25,7 @@
 #include "core/engine.hpp"
 #include "core/strategies.hpp"
 #include "graph/generators.hpp"
+#include "lattice.hpp"
 
 namespace aa {
 namespace {
@@ -94,8 +95,7 @@ struct RunResult {
     std::vector<MetricSpan> spans;
 };
 
-RunResult run_scenario(std::uint32_t ranks, BackendKind backend,
-                       BoundaryWireFormat wire, bool rc_async,
+RunResult run_scenario(std::uint32_t ranks, BackendKind backend, bool rc_async,
                        std::uint32_t shards_per_rank) {
     Rng rng(987);
     DynamicGraph g = barabasi_albert(72, 2, rng, WeightRange{1.0, 3.0});
@@ -105,7 +105,6 @@ RunResult run_scenario(std::uint32_t ranks, BackendKind backend,
     config.ia_threads = 2;
     config.seed = 0x54A2D + ranks;
     config.backend = backend;
-    config.wire_format = wire;
     config.rc_async = rc_async;
     config.shards_per_rank = shards_per_rank;
     config.enable_metrics = true;
@@ -154,38 +153,24 @@ void expect_bit_identical(const RunResult& a, const RunResult& b) {
     }
 }
 
-using Param = std::tuple<std::uint32_t /*ranks*/, BackendKind,
-                         BoundaryWireFormat, bool /*rc_async*/>;
-
-class MigrateIdentityLattice : public ::testing::TestWithParam<Param> {};
+class MigrateIdentityLattice : public ::testing::TestWithParam<LatticeCase> {};
 
 TEST_P(MigrateIdentityLattice, ShardedMapMatchesFlatMapBitIdentically) {
-    const auto [ranks, backend, wire, rc_async] = GetParam();
-    const RunResult sharded = run_scenario(ranks, backend, wire, rc_async, 8);
-    const RunResult flat = run_scenario(ranks, backend, wire, rc_async, 1);
+    const auto [ranks, backend, format, rc_async] = GetParam();
+    const RunResult sharded = run_scenario(ranks, backend, rc_async, 8);
+    const RunResult flat = run_scenario(ranks, backend, rc_async, 1);
     expect_bit_identical(sharded, flat);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Lattice, MigrateIdentityLattice,
-    ::testing::Combine(
-        ::testing::Values(2u, 4u, 8u),
-        ::testing::Values(BackendKind::Sequential, BackendKind::Threaded),
-        ::testing::Values(BoundaryWireFormat::V1Aos, BoundaryWireFormat::V2Soa),
-        ::testing::Bool()),
-    [](const ::testing::TestParamInfo<Param>& p) {
-        return "r" + std::to_string(std::get<0>(p.param)) +
-               (std::get<1>(p.param) == BackendKind::Threaded ? "_thr"
-                                                              : "_seq") +
-               (std::get<2>(p.param) == BoundaryWireFormat::V2Soa ? "_v2"
-                                                                  : "_v1") +
-               (std::get<3>(p.param) ? "_async" : "_sync");
-    });
+INSTANTIATE_TEST_SUITE_P(Lattice, MigrateIdentityLattice,
+                         ::testing::ValuesIn(lattice_cases()), LatticeName{"thr"});
 
 // ---------------------------------------------------------------------------
 // 2. Migration protocol correctness.
 // ---------------------------------------------------------------------------
 
+/// Parameter: (wire format, EngineConfig::rc_async). The format has one
+/// value and selects nothing; it keeps the case names (see lattice.hpp).
 class MigrateProtocol
     : public ::testing::TestWithParam<std::tuple<BoundaryWireFormat, bool>> {
 protected:
@@ -193,7 +178,6 @@ protected:
         EngineConfig config;
         config.num_ranks = ranks;
         config.seed = 77;
-        config.wire_format = std::get<0>(GetParam());
         config.rc_async = std::get<1>(GetParam());
         return config;
     }
@@ -325,15 +309,9 @@ TEST_P(MigrateProtocol, BogusMovesAreSkippedEntirely) {
 
 INSTANTIATE_TEST_SUITE_P(
     Wire, MigrateProtocol,
-    ::testing::Combine(::testing::Values(BoundaryWireFormat::V1Aos,
-                                         BoundaryWireFormat::V2Soa),
-                       ::testing::Bool()),
-    [](const ::testing::TestParamInfo<std::tuple<BoundaryWireFormat, bool>>&
-           p) {
-        return std::string(std::get<0>(p.param) == BoundaryWireFormat::V2Soa
-                               ? "v2"
-                               : "v1") +
-               (std::get<1>(p.param) ? "_async" : "_sync");
+    ::testing::Combine(::testing::Values(BoundaryWireFormat::V2Soa), ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<BoundaryWireFormat, bool>>& p) {
+        return std::string(std::get<1>(p.param) ? "v2_async" : "v2_sync");
     });
 
 // ---------------------------------------------------------------------------

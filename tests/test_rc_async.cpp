@@ -7,8 +7,8 @@
 // propagation is deferred until a rank has everything — so distances,
 // closeness, dirty order, per-step ops, and message traffic must stay
 // bit-identical to the step-synchronous default at every step. The lattice
-// below pins that across rank counts × both execution backends × both wire
-// formats, with a mid-RC vertex-addition batch in every run. The delivery
+// below pins that across rank counts × both execution backends, with a mid-RC
+// vertex-addition batch in every run. The delivery
 // trace is built on the driver thread from the exchange's output, before any
 // rank ingests, so it must also be identical across backends and across
 // repeated threaded runs.
@@ -16,13 +16,13 @@
 
 #include <cmath>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "core/engine.hpp"
 #include "core/rc.hpp"
 #include "core/strategies.hpp"
 #include "graph/generators.hpp"
+#include "lattice.hpp"
 #include "runtime/backend.hpp"
 
 namespace aa {
@@ -43,11 +43,9 @@ struct RunResult {
 struct Overrides {
     bool rc_async{false};
     CommSchedule schedule{CommSchedule::SerializedAllToAll};
-    std::size_t ingest_window{0};
 };
 
-RunResult run_scenario(std::uint32_t ranks, BackendKind backend,
-                       BoundaryWireFormat format, const Overrides& o) {
+RunResult run_scenario(std::uint32_t ranks, BackendKind backend, const Overrides& o) {
     Rng rng(555);
     DynamicGraph g = barabasi_albert(80, 2, rng, WeightRange{1.0, 4.0});
 
@@ -56,10 +54,8 @@ RunResult run_scenario(std::uint32_t ranks, BackendKind backend,
     config.seed = 0xF0 + ranks;
     config.backend = backend;
     config.enable_metrics = true;
-    config.wire_format = format;
     config.rc_async = o.rc_async;
     config.schedule = o.schedule;
-    config.rc_ingest_window_bytes = o.ingest_window;
 
     AnytimeEngine engine(g, config);
     engine.initialize();
@@ -93,11 +89,8 @@ RunResult run_scenario(std::uint32_t ranks, BackendKind backend,
 
 /// Everything an event-driven step may NOT change: results, work, traffic.
 /// (EXPECT_EQ on doubles is exact comparison — bit-identical, not "close".)
-/// `same_bytes=false` relaxes only the byte accounting — for comparisons
-/// across wire formats, where payload size legitimately differs.
 void expect_equivalent_modulo_timeline(const RunResult& sync,
-                                       const RunResult& async_r,
-                                       bool same_bytes = true) {
+                                       const RunResult& async_r) {
     EXPECT_EQ(sync.rc_steps, async_r.rc_steps);
     ASSERT_EQ(sync.matrix.size(), async_r.matrix.size());
     for (std::size_t v = 0; v < sync.matrix.size(); ++v) {
@@ -111,15 +104,10 @@ void expect_equivalent_modulo_timeline(const RunResult& sync,
         EXPECT_EQ(sync.steps[i].ops, async_r.steps[i].ops) << "step " << i;
         EXPECT_EQ(sync.steps[i].messages, async_r.steps[i].messages)
             << "step " << i;
-        if (same_bytes) {
-            EXPECT_EQ(sync.steps[i].bytes, async_r.steps[i].bytes)
-                << "step " << i;
-        }
+        EXPECT_EQ(sync.steps[i].bytes, async_r.steps[i].bytes) << "step " << i;
     }
     EXPECT_EQ(sync.total_messages, async_r.total_messages);
-    if (same_bytes) {
-        EXPECT_EQ(sync.total_bytes, async_r.total_bytes);
-    }
+    EXPECT_EQ(sync.total_bytes, async_r.total_bytes);
 }
 
 void expect_identical_trace(const RunResult& a, const RunResult& b) {
@@ -136,17 +124,12 @@ void expect_identical_trace(const RunResult& a, const RunResult& b) {
     }
 }
 
-using Param =
-    std::tuple<std::uint32_t /*ranks*/, BackendKind, BoundaryWireFormat>;
-
-class RcAsyncEquivalence : public ::testing::TestWithParam<Param> {};
+class RcAsyncEquivalence : public ::testing::TestWithParam<RankBackend> {};
 
 TEST_P(RcAsyncEquivalence, AsyncMatchesSyncModuloTimeline) {
     const auto [ranks, backend, format] = GetParam();
-    const RunResult sync =
-        run_scenario(ranks, backend, format, {/*rc_async=*/false});
-    const RunResult async_r =
-        run_scenario(ranks, backend, format, {/*rc_async=*/true});
+    const RunResult sync = run_scenario(ranks, backend, {/*rc_async=*/false});
+    const RunResult async_r = run_scenario(ranks, backend, {/*rc_async=*/true});
     expect_equivalent_modulo_timeline(sync, async_r);
     // The sync run never produces delivery events; the async run produces one
     // per RC-exchanged message (dynamic-update broadcasts stay collective, so
@@ -167,28 +150,14 @@ TEST_P(RcAsyncEquivalence, PipelinedScheduleSameFixpoint) {
     const auto [ranks, backend, format] = GetParam();
     Overrides serialized{/*rc_async=*/true, CommSchedule::SerializedAllToAll};
     Overrides pipelined{/*rc_async=*/true, CommSchedule::Pipelined};
-    const RunResult a = run_scenario(ranks, backend, format, serialized);
-    const RunResult b = run_scenario(ranks, backend, format, pipelined);
+    const RunResult a = run_scenario(ranks, backend, serialized);
+    const RunResult b = run_scenario(ranks, backend, pipelined);
     expect_equivalent_modulo_timeline(a, b);
     EXPECT_LE(b.sim_seconds, a.sim_seconds * (1 + 1e-12));
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Lattice, RcAsyncEquivalence,
-    ::testing::Combine(::testing::Values(2u, 4u, 8u),
-                       ::testing::Values(BackendKind::Sequential,
-                                         BackendKind::Threaded),
-                       ::testing::Values(BoundaryWireFormat::V1Aos,
-                                         BoundaryWireFormat::V2Soa)),
-    [](const ::testing::TestParamInfo<Param>& p) {
-        std::string name = "r";
-        name += std::to_string(std::get<0>(p.param));
-        name += std::get<1>(p.param) == BackendKind::Threaded ? "_threaded"
-                                                              : "_seq";
-        name += std::get<2>(p.param) == BoundaryWireFormat::V2Soa ? "_v2"
-                                                                  : "_v1";
-        return name;
-    });
+INSTANTIATE_TEST_SUITE_P(Lattice, RcAsyncEquivalence,
+                         ::testing::ValuesIn(rank_backend_cases()), LatticeName{});
 
 TEST(RcAsyncDeterminism, ThreadedRunsReplayIdentically) {
     // Same seed, same config, two fresh engines on the threaded backend: the
@@ -196,10 +165,8 @@ TEST(RcAsyncDeterminism, ThreadedRunsReplayIdentically) {
     // event, and so must every result. Ranks ingest concurrently, but each
     // only advances its own clock, so worker scheduling cannot perturb it.
     const Overrides async_pipelined{/*rc_async=*/true, CommSchedule::Pipelined};
-    const RunResult a = run_scenario(8, BackendKind::Threaded,
-                                     BoundaryWireFormat::V2Soa, async_pipelined);
-    const RunResult b = run_scenario(8, BackendKind::Threaded,
-                                     BoundaryWireFormat::V2Soa, async_pipelined);
+    const RunResult a = run_scenario(8, BackendKind::Threaded, async_pipelined);
+    const RunResult b = run_scenario(8, BackendKind::Threaded, async_pipelined);
     expect_identical_trace(a, b);
     expect_equivalent_modulo_timeline(a, b);
     EXPECT_EQ(a.sim_seconds, b.sim_seconds);
@@ -208,10 +175,8 @@ TEST(RcAsyncDeterminism, ThreadedRunsReplayIdentically) {
 
 TEST(RcAsyncDeterminism, BackendsShareOneTrace) {
     const Overrides async_pipelined{/*rc_async=*/true, CommSchedule::Pipelined};
-    const RunResult seq = run_scenario(4, BackendKind::Sequential,
-                                       BoundaryWireFormat::V2Soa, async_pipelined);
-    const RunResult thr = run_scenario(4, BackendKind::Threaded,
-                                       BoundaryWireFormat::V2Soa, async_pipelined);
+    const RunResult seq = run_scenario(4, BackendKind::Sequential, async_pipelined);
+    const RunResult thr = run_scenario(4, BackendKind::Threaded, async_pipelined);
     expect_identical_trace(seq, thr);
     expect_equivalent_modulo_timeline(seq, thr);
     EXPECT_EQ(seq.sim_seconds, thr.sim_seconds);
@@ -222,8 +187,7 @@ TEST(RcAsyncDeterminism, BackendsShareOneTrace) {
 
 TEST(RcAsyncDeterminism, TraceIsInEventOrderPerStep) {
     const Overrides async_serialized{/*rc_async=*/true};
-    const RunResult r = run_scenario(4, BackendKind::Sequential,
-                                     BoundaryWireFormat::V2Soa, async_serialized);
+    const RunResult r = run_scenario(4, BackendKind::Sequential, async_serialized);
     ASSERT_FALSE(r.trace.empty());
     for (std::size_t i = 1; i < r.trace.size(); ++i) {
         const DeliveryTraceEntry& prev = r.trace[i - 1];
@@ -240,38 +204,14 @@ TEST(RcAsyncDeterminism, TraceIsInEventOrderPerStep) {
     }
 }
 
-TEST(RcIngest, AdaptiveWindowMatchesFixed) {
-    // The 0 sentinel resolves to a host-dependent window; windowing is
-    // contractually invisible to results, so the adaptive run must be
-    // bit-identical — including sim_seconds — to the historical fixed
-    // 128 MiB window, sync and async alike.
-    for (const bool rc_async : {false, true}) {
-        Overrides adaptive{rc_async};
-        Overrides fixed{rc_async};
-        fixed.ingest_window = kRcIngestWindowBytes;
-        const RunResult a = run_scenario(4, BackendKind::Sequential,
-                                         BoundaryWireFormat::V2Soa, adaptive);
-        const RunResult f = run_scenario(4, BackendKind::Sequential,
-                                         BoundaryWireFormat::V2Soa, fixed);
-        expect_equivalent_modulo_timeline(a, f);
-        expect_identical_trace(a, f);
-        EXPECT_EQ(a.sim_seconds, f.sim_seconds) << "rc_async=" << rc_async;
-    }
-}
-
 TEST(RcIngest, AdaptiveResolutionRules) {
-    // Explicit values win verbatim; the sentinel resolves into the documented
-    // clamp range, and concurrent backends get a share no larger than the
-    // sequential backend's whole-LLC window.
+    // The window resolves into the documented clamp range, and concurrent
+    // backends get a share no larger than the sequential backend's whole-LLC
+    // window.
     Rng rng(7);
     DynamicGraph g = barabasi_albert(40, 2, rng, WeightRange{1.0, 2.0});
     EngineConfig config;
     config.num_ranks = 4;
-    config.rc_ingest_window_bytes = 12345;
-    AnytimeEngine explicit_engine(g, config);
-    EXPECT_EQ(explicit_engine.rc_ingest_window_bytes_effective(), 12345u);
-
-    config.rc_ingest_window_bytes = 0;
     AnytimeEngine seq_engine(g, config);
     const std::size_t seq_window = seq_engine.rc_ingest_window_bytes_effective();
     EXPECT_GE(seq_window, std::size_t{4} << 20);
@@ -292,19 +232,17 @@ TEST(CommSchedule, PipelinedSyncMatchesSerializedResults) {
     Overrides serialized{};
     Overrides pipelined{};
     pipelined.schedule = CommSchedule::Pipelined;
-    const RunResult a = run_scenario(8, BackendKind::Sequential,
-                                     BoundaryWireFormat::V2Soa, serialized);
-    const RunResult b = run_scenario(8, BackendKind::Sequential,
-                                     BoundaryWireFormat::V2Soa, pipelined);
+    const RunResult a = run_scenario(8, BackendKind::Sequential, serialized);
+    const RunResult b = run_scenario(8, BackendKind::Sequential, pipelined);
     expect_equivalent_modulo_timeline(a, b);
     EXPECT_LE(b.sim_seconds, a.sim_seconds);
 }
 
 // ---- Golden timeline ------------------------------------------------------
 //
-// The absolute per-step timeline of run_scenario at P=4 (sequential backend,
-// v2 wire), recorded from the engine before the synchronous and event-driven
-// RC steps shared one phase-2/3 path. Synchronous steps must reproduce it bit
+// The absolute per-step timeline of run_scenario at P=4 (sequential backend),
+// recorded from the engine before the synchronous and event-driven RC steps
+// shared one phase-2/3 path. Synchronous steps must reproduce it bit
 // for bit. Event-driven steps must reproduce the work and traffic exactly;
 // their times may differ by reassociation only, because a rank now ingests
 // every message that has arrived by its clock in one call instead of one
@@ -384,8 +322,7 @@ TEST(RcStepTimeline, MatchesParent) {
             (golden.schedule == CommSchedule::Pipelined ? "/pipelined"
                                                         : "/serialized");
         const RunResult r =
-            run_scenario(4, BackendKind::Sequential, BoundaryWireFormat::V2Soa,
-                         {golden.rc_async, golden.schedule});
+            run_scenario(4, BackendKind::Sequential, {golden.rc_async, golden.schedule});
         expect_golden_time(r.sim_seconds, golden.sim_seconds, golden.rc_async,
                            mode + " final sim_seconds");
         ASSERT_EQ(r.steps.size(), golden.steps.size()) << mode;

@@ -9,10 +9,13 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <string>
+#include <tuple>
 
 #include "core/ia.hpp"
 #include "core/rc.hpp"
 #include "graph/generators.hpp"
+#include "runtime/backend.hpp"
 #include "runtime/cluster.hpp"
 
 namespace aa {
@@ -221,10 +224,9 @@ std::vector<RankId> random_owners(std::size_t n, std::uint32_t num_ranks, Rng& r
 // Drive post/exchange/ingest/propagate until globally quiescent. The Threaded
 // mode passes parallel_grain = 1 so even these small graphs exercise the
 // parallel_for branches in both rc_ingest_updates and rc_propagate_local.
-// `format` selects the wire format for post and ingest alike; `window_bytes`
-// feeds the ingest windowing (results must be independent of both).
+// `window_bytes` feeds the ingest windowing (results must be independent of
+// it).
 RcOps run_rc_fixpoint(MiniCluster& mc, Mode mode, std::size_t threads = 1,
-                      BoundaryWireFormat format = BoundaryWireFormat::V2Soa,
                       std::size_t window_bytes = kRcIngestWindowBytes) {
     std::unique_ptr<ThreadPool> pool;
     if (mode == Mode::Threaded) {
@@ -235,8 +237,7 @@ RcOps run_rc_fixpoint(MiniCluster& mc, Mode mode, std::size_t threads = 1,
     bool converged = false;
     for (int step = 0; step < 100 && !converged; ++step) {
         for (RankId r = 0; r < num_ranks; ++r) {
-            ops.post += rc_post_boundary_updates(mc.sgs[r], mc.stores[r], mc.cluster,
-                                                 format);
+            ops.post += rc_post_boundary_updates(mc.sgs[r], mc.stores[r], mc.cluster);
         }
         if (!mc.cluster.has_pending_messages()) {
             converged = true;
@@ -247,20 +248,19 @@ RcOps run_rc_fixpoint(MiniCluster& mc, Mode mode, std::size_t threads = 1,
             const auto inbox = mc.cluster.receive(r);
             switch (mode) {
                 case Mode::Scalar:
-                    ops.ingest += rc_ingest_updates_scalar(mc.sgs[r], mc.stores[r],
-                                                           inbox, format);
+                    ops.ingest += rc_ingest_updates_scalar(mc.sgs[r], mc.stores[r], inbox);
                     ops.propagate += rc_propagate_local_scalar(mc.sgs[r], mc.stores[r]);
                     break;
                 case Mode::Batched:
                     ops.ingest += rc_ingest_updates(mc.sgs[r], mc.stores[r], inbox,
-                                                    format, nullptr,
+                                                    BoundaryWireFormat::V2Soa, nullptr,
                                                     kRcIngestParallelGrain,
                                                     window_bytes);
                     ops.propagate += rc_propagate_local(mc.sgs[r], mc.stores[r]);
                     break;
                 case Mode::Threaded:
                     ops.ingest += rc_ingest_updates(mc.sgs[r], mc.stores[r], inbox,
-                                                    format, pool.get(),
+                                                    BoundaryWireFormat::V2Soa, pool.get(),
                                                     /*parallel_grain=*/1, window_bytes);
                     ops.propagate += rc_propagate_local(mc.sgs[r], mc.stores[r],
                                                         pool.get(), /*parallel_grain=*/1);
@@ -292,14 +292,11 @@ std::size_t matrix_mismatches(const MiniCluster& a, const MiniCluster& b) {
 
 void expect_equivalent(MiniCluster& reference, MiniCluster& candidate, Mode mode,
                        std::size_t threads, const char* what,
-                       BoundaryWireFormat ref_format = BoundaryWireFormat::V1Aos,
-                       BoundaryWireFormat cand_format = BoundaryWireFormat::V2Soa,
                        std::size_t cand_window = kRcIngestWindowBytes) {
-    // Reference: the scalar per-element kernels over the v1 wire format —
-    // the original semantics every optimized configuration must reproduce.
-    const RcOps ref = run_rc_fixpoint(reference, Mode::Scalar, 1, ref_format);
-    const RcOps got = run_rc_fixpoint(candidate, mode, threads, cand_format,
-                                      cand_window);
+    // Reference: the scalar per-element kernels — the original semantics
+    // every optimized configuration must reproduce.
+    const RcOps ref = run_rc_fixpoint(reference, Mode::Scalar, 1);
+    const RcOps got = run_rc_fixpoint(candidate, mode, threads, cand_window);
     EXPECT_EQ(ref.post, got.post) << what;
     EXPECT_EQ(ref.ingest, got.ingest) << what;
     EXPECT_EQ(ref.propagate, got.propagate) << what;
@@ -398,118 +395,104 @@ TEST(RcKernelEquivalence, IngestDirtySetsMatchScalar) {
 }
 
 // ---------------------------------------------------------------------------
-// Wire-format equivalence: the v2 SoA payload (and the SIMD sweeps it feeds)
-// must reproduce the v1 + scalar reference bit for bit.
+// Wire-format and sweep equivalence: the SoA payload, its ingest windows and
+// the SIMD sweeps it feeds must reproduce the scalar reference bit for bit.
 
-TEST(RcWireFormat, FormatModeLatticeMatchesScalarV1) {
-    // Every (format, mode) cell against the scalar+v1 reference, over a few
-    // seeds: identical op counts and bit-identical matrices.
-    const BoundaryWireFormat formats[] = {BoundaryWireFormat::V1Aos,
-                                          BoundaryWireFormat::V2Soa};
+TEST(RcWireFormat, ModeLatticeMatchesScalar) {
+    // Every batched mode against the scalar reference, over a few seeds:
+    // identical op counts and bit-identical matrices.
     for (const std::uint64_t seed : {21u, 1234u}) {
-        for (const BoundaryWireFormat format : formats) {
-            for (const Mode mode : {Mode::Batched, Mode::Threaded}) {
-                Rng rng(seed);
-                const DynamicGraph g = rmat(8, 700, rng, {}, {0.5, 2.0});
-                const auto owners = random_owners(g.num_vertices(), 4, rng);
-                MiniCluster reference(g, owners, 4);
-                MiniCluster candidate(g, owners, 4);
-                expect_equivalent(reference, candidate, mode, 4, "format lattice",
-                                  BoundaryWireFormat::V1Aos, format);
-            }
+        for (const Mode mode : {Mode::Batched, Mode::Threaded}) {
+            Rng rng(seed);
+            const DynamicGraph g = rmat(8, 700, rng, {}, {0.5, 2.0});
+            const auto owners = random_owners(g.num_vertices(), 4, rng);
+            MiniCluster reference(g, owners, 4);
+            MiniCluster candidate(g, owners, 4);
+            expect_equivalent(reference, candidate, mode, 4, "mode lattice");
         }
     }
-}
-
-TEST(RcWireFormat, ScalarKernelAgreesAcrossFormats) {
-    // The scalar reference itself must be format-independent (the canonical
-    // ascending post order makes the payload entry order identical).
-    Rng rng(808);
-    const DynamicGraph g = erdos_renyi_gnm(300, 900, rng, {0.25, 4.0});
-    const auto owners = random_owners(g.num_vertices(), 5, rng);
-    MiniCluster v1(g, owners, 5);
-    MiniCluster v2(g, owners, 5);
-    const RcOps ops1 = run_rc_fixpoint(v1, Mode::Scalar, 1, BoundaryWireFormat::V1Aos);
-    const RcOps ops2 = run_rc_fixpoint(v2, Mode::Scalar, 1, BoundaryWireFormat::V2Soa);
-    EXPECT_EQ(ops1.post, ops2.post);
-    EXPECT_EQ(ops1.ingest, ops2.ingest);
-    EXPECT_EQ(ops1.propagate, ops2.propagate);
-    EXPECT_EQ(matrix_mismatches(v1, v2), 0u);
-}
-
-TEST(RcWireFormat, DirtyAppendOrderIdenticalAcrossFormats) {
-    // Stronger than IngestDirtySetsMatchScalar: after one post/exchange/
-    // ingest round the prop and send worklists must match in *exact append
-    // order* between a v1 and a v2 ingest — the property that keeps every
-    // later drain (and therefore the whole downstream schedule) identical.
-    // Both formats deliver ascending columns and relax_batch/_soa record
-    // improvements in entry order, so the appended sequences coincide.
-    Rng rng(271828);
-    const DynamicGraph g = rmat(8, 700, rng, {}, {0.5, 2.0});
-    const auto owners = random_owners(g.num_vertices(), 4, rng);
-    MiniCluster v1(g, owners, 4);
-    MiniCluster v2(g, owners, 4);
-    for (RankId r = 0; r < 4; ++r) {
-        rc_post_boundary_updates(v1.sgs[r], v1.stores[r], v1.cluster,
-                                 BoundaryWireFormat::V1Aos);
-        rc_post_boundary_updates(v2.sgs[r], v2.stores[r], v2.cluster,
-                                 BoundaryWireFormat::V2Soa);
-    }
-    v1.cluster.exchange();
-    v2.cluster.exchange();
-    for (RankId r = 0; r < 4; ++r) {
-        rc_ingest_updates(v1.sgs[r], v1.stores[r], v1.cluster.receive(r),
-                          BoundaryWireFormat::V1Aos);
-        rc_ingest_updates(v2.sgs[r], v2.stores[r], v2.cluster.receive(r),
-                          BoundaryWireFormat::V2Soa);
-        for (LocalId l = 0; l < v1.stores[r].num_rows(); ++l) {
-            const auto p1 = v1.stores[r].take_prop(l);
-            const auto p2 = v2.stores[r].take_prop(l);
-            EXPECT_TRUE(std::equal(p1.begin(), p1.end(), p2.begin(), p2.end()))
-                << "prop order, rank " << r << " row " << l;
-            const auto s1 = v1.stores[r].take_send(l);
-            const auto s2 = v2.stores[r].take_send(l);
-            EXPECT_TRUE(std::equal(s1.begin(), s1.end(), s2.begin(), s2.end()))
-                << "send order, rank " << r << " row " << l;
-        }
-    }
-    EXPECT_EQ(matrix_mismatches(v1, v2), 0u);
 }
 
 TEST(RcWireFormat, TinyIngestWindowIsBitIdentical) {
     // A 256-byte window forces a window split at nearly every block; results
-    // and op counts must not move (satellite: windowing can never change
-    // results).
+    // and op counts must not move (windowing can never change results).
     Rng rng(99);
     const DynamicGraph g = rmat(8, 700, rng, {}, {0.5, 2.0});
     const auto owners = random_owners(g.num_vertices(), 4, rng);
     MiniCluster reference(g, owners, 4);
     MiniCluster tiny(g, owners, 4);
     expect_equivalent(reference, tiny, Mode::Batched, 1, "tiny window",
-                      BoundaryWireFormat::V1Aos, BoundaryWireFormat::V2Soa,
                       /*cand_window=*/256);
 }
 
 TEST(RcWireFormat, SimdToggleIsBitIdentical) {
     // With AA_ENABLE_SIMD built in and AVX2 present this pins the vector
-    // sweeps to the scalar fallback bit for bit; otherwise both runs take the
-    // scalar path and the test degenerates to determinism (still worth
-    // keeping: it guards the toggle plumbing).
-    Rng rng(512);
-    const DynamicGraph g = erdos_renyi_gnm(300, 900, rng, {0.25, 4.0});
-    const auto owners = random_owners(g.num_vertices(), 4, rng);
-    MiniCluster simd_on(g, owners, 4);
-    MiniCluster simd_off(g, owners, 4);
+    // sweep to the scalar fallback bit for bit, single-threaded and with the
+    // row sweeps fanned out to a pool; otherwise both runs take the scalar
+    // path and the test degenerates to determinism (still worth keeping: it
+    // guards the toggle plumbing).
+    for (const Mode mode : {Mode::Batched, Mode::Threaded}) {
+        Rng rng(512);
+        const DynamicGraph g = erdos_renyi_gnm(300, 900, rng, {0.25, 4.0});
+        const auto owners = random_owners(g.num_vertices(), 4, rng);
+        MiniCluster simd_on(g, owners, 4);
+        MiniCluster simd_off(g, owners, 4);
+        for (auto& store : simd_off.stores) {
+            store.set_simd_enabled(false);
+        }
+        const RcOps on = run_rc_fixpoint(simd_on, mode, 4);
+        const RcOps off = run_rc_fixpoint(simd_off, mode, 4);
+        const char* what = mode == Mode::Batched ? "batched" : "threaded";
+        EXPECT_EQ(on.post, off.post) << what;
+        EXPECT_EQ(on.ingest, off.ingest) << what;
+        EXPECT_EQ(on.propagate, off.propagate) << what;
+        EXPECT_EQ(matrix_mismatches(simd_on, simd_off), 0u) << what;
+    }
+}
+
+// The SIMD toggle across the engine suites' rank lattice (P in {2, 4, 8}) and
+// both of their graph families: under the one wire format the vector sweeps
+// must be invisible — every distance, every op count and every shipped byte
+// bit-identical with the stores forced scalar. `seq` cases run the batched
+// kernels on the calling thread, `threaded` cases fan the row sweeps out to
+// a pool.
+using SimdLatticeCase = std::tuple<std::uint32_t /*ranks*/, BackendKind, bool /*planted*/>;
+
+class WireFormatEquivalence : public ::testing::TestWithParam<SimdLatticeCase> {};
+
+TEST_P(WireFormatEquivalence, SimdToggleIsInvisibleUnderV2) {
+    const auto [ranks, backend, planted] = GetParam();
+    Rng rng(555);
+    const DynamicGraph g = planted
+                               ? planted_partition(70, 4, 0.2, 0.02, rng)
+                               : barabasi_albert(80, 2, rng, WeightRange{1.0, 4.0});
+    const auto owners = random_owners(g.num_vertices(), ranks, rng);
+    MiniCluster simd_on(g, owners, ranks);
+    MiniCluster simd_off(g, owners, ranks);
     for (auto& store : simd_off.stores) {
         store.set_simd_enabled(false);
     }
-    const RcOps on = run_rc_fixpoint(simd_on, Mode::Batched);
-    const RcOps off = run_rc_fixpoint(simd_off, Mode::Batched);
+    const Mode mode = backend == BackendKind::Threaded ? Mode::Threaded : Mode::Batched;
+    const RcOps on = run_rc_fixpoint(simd_on, mode, 4);
+    const RcOps off = run_rc_fixpoint(simd_off, mode, 4);
     EXPECT_EQ(on.post, off.post);
     EXPECT_EQ(on.ingest, off.ingest);
     EXPECT_EQ(on.propagate, off.propagate);
     EXPECT_EQ(matrix_mismatches(simd_on, simd_off), 0u);
+    EXPECT_EQ(simd_on.cluster.stats().total_messages, simd_off.cluster.stats().total_messages);
+    EXPECT_EQ(simd_on.cluster.stats().total_bytes, simd_off.cluster.stats().total_bytes);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Lattice, WireFormatEquivalence,
+    ::testing::Combine(::testing::Values(2u, 4u, 8u),
+                       ::testing::Values(BackendKind::Sequential, BackendKind::Threaded),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<SimdLatticeCase>& p) {
+        return "r" + std::to_string(std::get<0>(p.param)) +
+               (std::get<1>(p.param) == BackendKind::Threaded ? "_threaded" : "_seq") +
+               (std::get<2>(p.param) ? "_planted" : "_ba");
+    });
 
 }  // namespace
 }  // namespace aa

@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <sstream>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include "core/baseline.hpp"
@@ -18,6 +17,7 @@
 #include "core/engine.hpp"
 #include "core/strategies.hpp"
 #include "graph/generators.hpp"
+#include "lattice.hpp"
 #include "refine/bounds.hpp"
 #include "refine/demand.hpp"
 #include "refine/planner.hpp"
@@ -378,7 +378,7 @@ TEST(Bounds, CheckpointRestoreTrustsOnlyTheDiagonal) {
 // The hard bit-identity contract: Uniform policy, or any policy with no
 // demand signal, reproduces the historical engine bit for bit — distances,
 // closeness, the simulated clock, per-step ops/messages/bytes, and the
-// telemetry span sequence — across ranks x backend x wire format x sync/async.
+// telemetry span sequence — across ranks x backend x sync/async.
 // ---------------------------------------------------------------------------
 
 struct RunResult {
@@ -393,8 +393,7 @@ struct RunResult {
 enum class DemandMode { None, Heavy };
 
 RunResult run_refine_scenario(RefinePolicy policy, DemandMode demand,
-                              std::uint32_t ranks, BackendKind backend,
-                              BoundaryWireFormat wire, bool async) {
+                              std::uint32_t ranks, BackendKind backend, bool async) {
     Rng rng(987);
     DynamicGraph g = barabasi_albert(72, 2, rng, WeightRange{1.0, 3.0});
 
@@ -403,7 +402,6 @@ RunResult run_refine_scenario(RefinePolicy policy, DemandMode demand,
     config.ia_threads = 2;
     config.seed = 0xF1DE + ranks;
     config.backend = backend;
-    config.wire_format = wire;
     config.rc_async = async;
     config.enable_metrics = true;
     config.refine_policy = policy;
@@ -471,52 +469,31 @@ void expect_bit_identical(const RunResult& a, const RunResult& b) {
     }
 }
 
-using UniformParam =
-    std::tuple<std::uint32_t, BackendKind, BoundaryWireFormat, bool>;
-
-class RefineUniform : public ::testing::TestWithParam<UniformParam> {};
+class RefineUniform : public ::testing::TestWithParam<LatticeCase> {};
 
 TEST_P(RefineUniform, UniformAndEmptyDemandAreBitIdenticalToBaseline) {
-    const auto [ranks, backend, wire, async] = GetParam();
+    const auto [ranks, backend, format, async] = GetParam();
     const RunResult baseline = run_refine_scenario(
-        RefinePolicy::Uniform, DemandMode::None, ranks, backend, wire, async);
+        RefinePolicy::Uniform, DemandMode::None, ranks, backend, async);
     // Uniform ignores demand entirely...
     expect_bit_identical(baseline,
                          run_refine_scenario(RefinePolicy::Uniform,
-                                             DemandMode::Heavy, ranks, backend,
-                                             wire, async));
+                                             DemandMode::Heavy, ranks, backend, async));
     // ...and a demand-aware policy with no recorded demand plans nothing.
     expect_bit_identical(baseline,
                          run_refine_scenario(RefinePolicy::QueryHeat,
-                                             DemandMode::None, ranks, backend,
-                                             wire, async));
+                                             DemandMode::None, ranks, backend, async));
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Lattice, RefineUniform,
-    ::testing::Combine(::testing::Values(2u, 4u, 8u),
-                       ::testing::Values(BackendKind::Sequential,
-                                         BackendKind::Threaded),
-                       ::testing::Values(BoundaryWireFormat::V1Aos,
-                                         BoundaryWireFormat::V2Soa),
-                       ::testing::Bool()),
-    [](const ::testing::TestParamInfo<UniformParam>& p) {
-        return "r" + std::to_string(std::get<0>(p.param)) +
-               (std::get<1>(p.param) == BackendKind::Threaded ? "_threaded"
-                                                              : "_seq") +
-               (std::get<2>(p.param) == BoundaryWireFormat::V2Soa ? "_v2"
-                                                                  : "_v1") +
-               (std::get<3>(p.param) ? "_async" : "_sync");
-    });
+INSTANTIATE_TEST_SUITE_P(Lattice, RefineUniform, ::testing::ValuesIn(lattice_cases()),
+                         LatticeName{});
 
 // Heat steering is a pure reordering: converged values agree with Uniform —
 // bitwise on unit weights, within the repo tolerance when weighted (equal
 // shortest paths may be discovered in a different order).
 TEST(RefineHeat, SteeredRunConvergesToUniformValues) {
     const auto run = [](RefinePolicy policy, DemandMode demand) {
-        return run_refine_scenario(policy, demand, 4,
-                                   BackendKind::Sequential,
-                                   BoundaryWireFormat::V2Soa, false);
+        return run_refine_scenario(policy, demand, 4, BackendKind::Sequential, false);
     };
     const RunResult uniform = run(RefinePolicy::Uniform, DemandMode::None);
     for (const RefinePolicy policy :

@@ -14,24 +14,6 @@
 namespace aa {
 namespace {
 
-TEST(EventQueueDeath, HostileTimestampsDie) {
-    // Arrival times are contract-checked where they are produced: a NaN,
-    // infinite or negative arrival would silently reorder the deliveries
-    // sorted by it, so a hostile sender ready time dies instead.
-    const auto arrive_with_ready = [](double ready0) {
-        std::vector<InFlightMessage> messages{{0, 1, 100, 0}};
-        const std::vector<double> ready{ready0, 0.0};
-        schedule_arrivals(messages, 2, ready, LogPParams{},
-                          CommSchedule::Pipelined);
-    };
-    EXPECT_DEATH(arrive_with_ready(std::nan("")), "not finite");
-    EXPECT_DEATH(arrive_with_ready(std::numeric_limits<double>::infinity()),
-                 "not finite");
-    EXPECT_DEATH(arrive_with_ready(-std::numeric_limits<double>::infinity()),
-                 "not finite");
-    EXPECT_DEATH(arrive_with_ready(-1.0), "negative");
-}
-
 // ---- schedule_arrivals ----------------------------------------------------
 
 struct ArrivalCase {
@@ -155,6 +137,24 @@ TEST(ScheduleArrivalsDeath, OutOfRangeRanksDie) {
     std::vector<InFlightMessage> self{{1, 1, 100, 0}};
     EXPECT_DEATH(
         schedule_arrivals(self, 2, ready, params, CommSchedule::Pipelined), "");
+}
+
+TEST(ScheduleArrivalsDeath, HostileReadyTimesDie) {
+    // Arrival times are contract-checked where they are produced: a NaN,
+    // infinite or negative arrival would silently reorder the deliveries
+    // sorted by it, so a hostile sender ready time dies instead.
+    const auto arrive_with_ready = [](double ready0) {
+        std::vector<InFlightMessage> messages{{0, 1, 100, 0}};
+        const std::vector<double> ready{ready0, 0.0};
+        schedule_arrivals(messages, 2, ready, LogPParams{},
+                          CommSchedule::Pipelined);
+    };
+    EXPECT_DEATH(arrive_with_ready(std::nan("")), "not finite");
+    EXPECT_DEATH(arrive_with_ready(std::numeric_limits<double>::infinity()),
+                 "not finite");
+    EXPECT_DEATH(arrive_with_ready(-std::numeric_limits<double>::infinity()),
+                 "not finite");
+    EXPECT_DEATH(arrive_with_ready(-1.0), "negative");
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Randomized round-trip sweeps for the wire formats — the closest thing to
+// Randomized round-trip sweeps for the wire payloads — the closest thing to
 // fuzzing that stays deterministic and offline.
 #include <gtest/gtest.h>
 
@@ -61,41 +61,8 @@ TEST_P(SerializerFuzz, MixedScalarsRoundTrip) {
     EXPECT_TRUE(in.exhausted());
 }
 
-TEST_P(SerializerFuzz, BoundaryBlocksRoundTripV1) {
-    // The v1 AoS format accepts arbitrary entry streams (unsorted columns,
-    // duplicates included); pin the format explicitly since the default
-    // moved to v2.
-    Rng rng(GetParam() ^ 0xB10C);
-    std::vector<BoundaryBlock> blocks;
-    const std::size_t block_count = rng.uniform(16);
-    for (std::size_t b = 0; b < block_count; ++b) {
-        BoundaryBlock block;
-        block.vertex = static_cast<VertexId>(rng.uniform(1u << 20));
-        const std::size_t entries = rng.uniform(40);
-        for (std::size_t e = 0; e < entries; ++e) {
-            block.entries.push_back(
-                {static_cast<VertexId>(rng.uniform(1u << 20)),
-                 rng.uniform(0.0, 1e6)});
-        }
-        blocks.push_back(std::move(block));
-    }
-    const auto payload =
-        encode_boundary_blocks(blocks, BoundaryWireFormat::V1Aos);
-    const auto back =
-        decode_boundary_blocks(payload, BoundaryWireFormat::V1Aos);
-    ASSERT_EQ(back.size(), blocks.size());
-    for (std::size_t b = 0; b < blocks.size(); ++b) {
-        EXPECT_EQ(back[b].vertex, blocks[b].vertex);
-        ASSERT_EQ(back[b].entries.size(), blocks[b].entries.size());
-        for (std::size_t e = 0; e < blocks[b].entries.size(); ++e) {
-            EXPECT_EQ(back[b].entries[e].column, blocks[b].entries[e].column);
-            EXPECT_EQ(back[b].entries[e].distance, blocks[b].entries[e].distance);
-        }
-    }
-}
-
 TEST_P(SerializerFuzz, BoundaryBlocksRoundTripV2) {
-    // The v2 SoA format requires strictly-ascending columns per block (the
+    // The SoA format requires strictly-ascending columns per block (the
     // post kernel sorts). Mix dense consecutive runs with sparse gaps so both
     // column encodings (run-length and delta-varint) get exercised, and check
     // the copying decoder and the zero-copy SoA-view decoder agree byte for
@@ -119,9 +86,9 @@ TEST_P(SerializerFuzz, BoundaryBlocksRoundTripV2) {
         blocks.push_back(std::move(block));
     }
     const auto payload =
-        encode_boundary_blocks(blocks, BoundaryWireFormat::V2Soa);
+        encode_boundary_blocks(blocks);
     const auto back =
-        decode_boundary_blocks(payload, BoundaryWireFormat::V2Soa);
+        decode_boundary_blocks(payload);
     ASSERT_EQ(back.size(), blocks.size());
     for (std::size_t b = 0; b < blocks.size(); ++b) {
         EXPECT_EQ(back[b].vertex, blocks[b].vertex);
@@ -144,18 +111,19 @@ TEST_P(SerializerFuzz, BoundaryBlocksRoundTripV2) {
             EXPECT_EQ(views[b].dists[e], blocks[b].entries[e].distance);
         }
     }
-    // Every v2 block occupies a multiple of 8 bytes (that is what keeps the
+    // Every block occupies a multiple of 8 bytes (that is what keeps the
     // f64 runs aligned under concatenation), so the whole payload must too.
     EXPECT_EQ(payload.size() % sizeof(Weight), 0u);
 }
 
 TEST_P(SerializerFuzz, RaiseBlocksAgreeAcrossFormats) {
     // ShrinkRaise payloads (core/edge_delete.cpp) reuse the boundary-block
-    // codecs with a distinctive shape: columns are an ascending *subset* of
-    // the suspect columns (dense runs where a whole region was
-    // invalidated, gaps where entries survived) and distances carry the
-    // finite pre-raise values. Both wire formats must reproduce that shape
-    // entry-for-entry and agree with each other.
+    // codec with a distinctive shape: columns are an ascending *subset* of
+    // the suspect columns (dense runs where a whole region was invalidated,
+    // gaps where entries survived) and distances carry the finite pre-raise
+    // values. Both decoded layouts — the copying AoS blocks the raise path
+    // reads and the zero-copy SoA views the RC ingest reads — must reproduce
+    // that shape entry for entry and agree with each other.
     Rng rng(GetParam() ^ 0x5A15E);
     std::vector<BoundaryBlock> blocks;
     const std::size_t block_count = 1 + rng.uniform(8);
@@ -174,24 +142,23 @@ TEST_P(SerializerFuzz, RaiseBlocksAgreeAcrossFormats) {
         }
         blocks.push_back(std::move(block));
     }
-    const auto v1 = decode_boundary_blocks(
-        encode_boundary_blocks(blocks, BoundaryWireFormat::V1Aos),
-        BoundaryWireFormat::V1Aos);
-    const auto v2 = decode_boundary_blocks(
-        encode_boundary_blocks(blocks, BoundaryWireFormat::V2Soa),
-        BoundaryWireFormat::V2Soa);
-    ASSERT_EQ(v1.size(), blocks.size());
-    ASSERT_EQ(v2.size(), blocks.size());
+    const auto payload = encode_boundary_blocks(blocks);
+    const auto copies = decode_boundary_blocks(payload);
+    std::vector<VertexId> arena;
+    const auto views = decode_boundary_block_soa_views(payload, arena);
+    ASSERT_EQ(copies.size(), blocks.size());
+    ASSERT_EQ(views.size(), blocks.size());
     for (std::size_t b = 0; b < blocks.size(); ++b) {
-        EXPECT_EQ(v1[b].vertex, blocks[b].vertex);
-        EXPECT_EQ(v2[b].vertex, blocks[b].vertex);
-        ASSERT_EQ(v1[b].entries.size(), blocks[b].entries.size());
-        ASSERT_EQ(v2[b].entries.size(), blocks[b].entries.size());
+        EXPECT_EQ(copies[b].vertex, blocks[b].vertex);
+        EXPECT_EQ(views[b].vertex, blocks[b].vertex);
+        ASSERT_EQ(copies[b].entries.size(), blocks[b].entries.size());
+        ASSERT_EQ(views[b].cols.size(), blocks[b].entries.size());
+        ASSERT_EQ(views[b].dists.size(), blocks[b].entries.size());
         for (std::size_t e = 0; e < blocks[b].entries.size(); ++e) {
-            EXPECT_EQ(v1[b].entries[e].column, blocks[b].entries[e].column);
-            EXPECT_EQ(v1[b].entries[e].distance, blocks[b].entries[e].distance);
-            EXPECT_EQ(v2[b].entries[e].column, blocks[b].entries[e].column);
-            EXPECT_EQ(v2[b].entries[e].distance, blocks[b].entries[e].distance);
+            EXPECT_EQ(copies[b].entries[e].column, blocks[b].entries[e].column);
+            EXPECT_EQ(copies[b].entries[e].distance, blocks[b].entries[e].distance);
+            EXPECT_EQ(views[b].cols[e], blocks[b].entries[e].column);
+            EXPECT_EQ(views[b].dists[e], blocks[b].entries[e].distance);
         }
     }
 }
@@ -236,111 +203,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SerializerFuzz,
                          ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u, 21u, 34u,
                                            55u, 89u));
 
-// Malformed-payload cases: decode_boundary_blocks validates the structure
-// before allocating anything, so a hostile length prefix must die on the
-// contract check instead of attempting a huge allocation.
-
-TEST(BoundaryBlockValidation, OversizedEntryCountDies) {
-    Serializer out;
-    out.write(VertexId{7});
-    out.write(std::uint64_t{1} << 61);  // declares ~2.3e18 entries, sends none
-    const auto payload = out.take();
-    EXPECT_DEATH((void)decode_boundary_blocks(payload, BoundaryWireFormat::V1Aos),
-                 "entry count exceeds payload");
-}
-
-TEST(BoundaryBlockValidation, OverflowWrappingEntryCountDies) {
-    // A count chosen so count * sizeof(DvEntry) wraps std::size_t to a tiny
-    // number; the division-based bound check must still reject it.
-    Serializer out;
-    out.write(VertexId{1});
-    const std::uint64_t wrapping =
-        (std::numeric_limits<std::uint64_t>::max() / sizeof(DvEntry)) + 2;
-    out.write(wrapping);
-    const auto payload = out.take();
-    EXPECT_DEATH((void)decode_boundary_blocks(payload, BoundaryWireFormat::V1Aos),
-                 "entry count exceeds payload");
-}
-
-TEST(BoundaryBlockValidation, DeclaredCountPastPayloadEndDies) {
-    // A structurally plausible block whose count is one larger than the
-    // entries actually shipped.
-    Serializer out;
-    out.write(VertexId{3});
-    out.write(std::uint64_t{3});
-    for (int i = 0; i < 2; ++i) {  // only two entries behind a count of three
-        out.write(DvEntry{static_cast<VertexId>(i), 1.5});
-    }
-    const auto payload = out.take();
-    EXPECT_DEATH((void)decode_boundary_blocks(payload, BoundaryWireFormat::V1Aos),
-                 "entry count exceeds payload");
-}
-
-TEST(BoundaryBlockValidation, TruncatedHeaderDies) {
-    const std::vector<std::byte> payload(sizeof(VertexId) + 2);  // half a header
-    EXPECT_DEATH((void)decode_boundary_blocks(payload, BoundaryWireFormat::V1Aos),
-                 "header truncated");
-}
-
-TEST(BoundaryBlockValidation, TrailingGarbageAfterValidBlockDies) {
-    std::vector<BoundaryBlock> blocks(1);
-    blocks[0].vertex = 9;
-    blocks[0].entries.push_back({4, 2.5});
-    auto payload = encode_boundary_blocks(blocks, BoundaryWireFormat::V1Aos);
-    payload.resize(payload.size() + 5);  // 5 stray bytes: not even a header
-    EXPECT_DEATH((void)decode_boundary_blocks(payload, BoundaryWireFormat::V1Aos),
-                 "header truncated");
-}
-
-// The zero-copy decoder shares the validation pass with the copying one; the
-// same hostile prefixes must die there too.
-
-TEST(BoundaryBlockValidation, ViewDecoderOversizedEntryCountDies) {
-    Serializer out;
-    out.write(VertexId{7});
-    out.write(std::uint64_t{1} << 61);
-    const auto payload = out.take();
-    EXPECT_DEATH((void)decode_boundary_block_views(payload),
-                 "entry count exceeds payload");
-}
-
-TEST(BoundaryBlockValidation, ViewDecoderTruncatedHeaderDies) {
-    const std::vector<std::byte> payload(sizeof(VertexId) + 2);
-    EXPECT_DEATH((void)decode_boundary_block_views(payload),
-                 "header truncated");
-}
-
-TEST(BoundaryBlockValidation, ViewDecoderMatchesCopyingDecoder) {
-    Rng rng(99);
-    std::vector<BoundaryBlock> blocks(4);
-    for (std::size_t b = 0; b < blocks.size(); ++b) {
-        blocks[b].vertex = static_cast<VertexId>(100 + b);
-        const std::size_t count = rng.uniform(50);
-        for (std::size_t i = 0; i < count; ++i) {
-            blocks[b].entries.push_back(
-                {static_cast<VertexId>(rng.uniform(1000)), rng.uniform(0.1, 9.0)});
-        }
-    }
-    const auto payload =
-        encode_boundary_blocks(blocks, BoundaryWireFormat::V1Aos);
-    const auto copies =
-        decode_boundary_blocks(payload, BoundaryWireFormat::V1Aos);
-    const auto views = decode_boundary_block_views(payload);
-    ASSERT_EQ(copies.size(), views.size());
-    for (std::size_t b = 0; b < copies.size(); ++b) {
-        EXPECT_EQ(copies[b].vertex, views[b].vertex);
-        ASSERT_EQ(copies[b].entries.size(), views[b].entries.size());
-        for (std::size_t i = 0; i < copies[b].entries.size(); ++i) {
-            EXPECT_EQ(copies[b].entries[i].column, views[b].entries[i].column);
-            EXPECT_EQ(copies[b].entries[i].distance, views[b].entries[i].distance);
-        }
-    }
-}
-
-// Hostile v2 payloads. The SoA decoder walks [u32 vertex][varint count]
-// [u8 encoding][columns][zero pad to 8][count × f64] and must reject every
-// malformed shape on a contract check — no UB, no allocation driven by a
-// hostile count. Payloads are crafted byte-by-byte with the Serializer.
+// Hostile boundary-block payloads. The SoA decoder walks [u32 vertex]
+// [varint count][u8 encoding][columns][zero pad to 8][count × f64] and must
+// reject every malformed shape on a contract check before allocating
+// anything proportional to a declared count — no UB, no allocation driven by
+// a hostile count. Payloads are crafted byte-by-byte with the Serializer.
 
 namespace v2 {
 constexpr std::uint8_t kDelta = 0;    // delta-varint column encoding tag
@@ -352,7 +219,7 @@ TEST(BoundaryBlockV2Validation, TruncatedCountVarintDies) {
     out.write(VertexId{7});
     out.write(std::uint8_t{0x80});  // continuation bit set, stream ends
     const auto payload = out.take();
-    EXPECT_DEATH((void)decode_boundary_blocks(payload, BoundaryWireFormat::V2Soa),
+    EXPECT_DEATH((void)decode_boundary_blocks(payload),
                  "varint truncated");
 }
 
@@ -366,7 +233,7 @@ TEST(BoundaryBlockV2Validation, OverlongCountVarintDies) {
     }
     out.write(std::uint8_t{0x01});
     const auto payload = out.take();
-    EXPECT_DEATH((void)decode_boundary_blocks(payload, BoundaryWireFormat::V2Soa),
+    EXPECT_DEATH((void)decode_boundary_blocks(payload),
                  "varint overlong");
 }
 
@@ -378,7 +245,7 @@ TEST(BoundaryBlockV2Validation, DeclaredCountPastPayloadEndDies) {
     out.write(VertexId{3});
     out.write_varint(std::uint64_t{1} << 28);
     const auto payload = out.take();
-    EXPECT_DEATH((void)decode_boundary_blocks(payload, BoundaryWireFormat::V2Soa),
+    EXPECT_DEATH((void)decode_boundary_blocks(payload),
                  "entry count exceeds payload");
 }
 
@@ -396,7 +263,7 @@ TEST(BoundaryBlockV2Validation, NonMonotoneColumnDeltaDies) {
     out.write(1.5);
     out.write(2.5);
     const auto payload = out.take();
-    EXPECT_DEATH((void)decode_boundary_blocks(payload, BoundaryWireFormat::V2Soa),
+    EXPECT_DEATH((void)decode_boundary_blocks(payload),
                  "non-monotone column delta");
 }
 
@@ -415,7 +282,7 @@ TEST(BoundaryBlockV2Validation, RunLengthSumMismatchDies) {
     out.write(2.0);
     out.write(3.0);
     const auto payload = out.take();
-    EXPECT_DEATH((void)decode_boundary_blocks(payload, BoundaryWireFormat::V2Soa),
+    EXPECT_DEATH((void)decode_boundary_blocks(payload),
                  "run length mismatch");
 }
 
@@ -429,7 +296,7 @@ TEST(BoundaryBlockV2Validation, ZeroRunCountDies) {
     out.write(1.0);
     out.write(2.0);
     const auto payload = out.take();
-    EXPECT_DEATH((void)decode_boundary_blocks(payload, BoundaryWireFormat::V2Soa),
+    EXPECT_DEATH((void)decode_boundary_blocks(payload),
                  "run count invalid");
 }
 
@@ -442,7 +309,7 @@ TEST(BoundaryBlockV2Validation, UnknownColumnEncodingDies) {
     out.pad_to(sizeof(Weight));
     out.write(1.0);
     const auto payload = out.take();
-    EXPECT_DEATH((void)decode_boundary_blocks(payload, BoundaryWireFormat::V2Soa),
+    EXPECT_DEATH((void)decode_boundary_blocks(payload),
                  "unknown column encoding");
 }
 
@@ -458,7 +325,7 @@ TEST(BoundaryBlockV2Validation, NonZeroPaddingByteDies) {
     out.write(1.0);
     const auto payload = out.take();
     ASSERT_EQ(payload.size() % sizeof(Weight), 0u);
-    EXPECT_DEATH((void)decode_boundary_blocks(payload, BoundaryWireFormat::V2Soa),
+    EXPECT_DEATH((void)decode_boundary_blocks(payload),
                  "padding corrupt");
 }
 
@@ -475,13 +342,13 @@ TEST(BoundaryBlockV2Validation, PayloadEndingInsidePaddingDies) {
     out.write(std::uint8_t{0});       // stops short of the 16-byte boundary
     out.write(std::uint8_t{0});
     const auto payload = out.take();
-    EXPECT_DEATH((void)decode_boundary_blocks(payload, BoundaryWireFormat::V2Soa),
+    EXPECT_DEATH((void)decode_boundary_blocks(payload),
                  "padding truncated");
 }
 
 TEST(BoundaryBlockV2Validation, TruncatedHeaderDies) {
     const std::vector<std::byte> payload(sizeof(VertexId) - 1);
-    EXPECT_DEATH((void)decode_boundary_blocks(payload, BoundaryWireFormat::V2Soa),
+    EXPECT_DEATH((void)decode_boundary_blocks(payload),
                  "header truncated");
 }
 
@@ -503,7 +370,7 @@ TEST(BoundaryBlockV2Validation, InflatedRunLengthOnRaiseColumnsDies) {
     out.write(1.0);
     out.write(2.0);
     const auto payload = out.take();
-    EXPECT_DEATH((void)decode_boundary_blocks(payload, BoundaryWireFormat::V2Soa),
+    EXPECT_DEATH((void)decode_boundary_blocks(payload),
                  "run length mismatch");
 }
 
@@ -523,7 +390,7 @@ TEST(BoundaryBlockV2Validation, ColumnVarintCorruptionCannotEatValueRun) {
         out.write(std::uint8_t{0x80});
     }
     const auto payload = out.take();
-    EXPECT_DEATH((void)decode_boundary_blocks(payload, BoundaryWireFormat::V2Soa),
+    EXPECT_DEATH((void)decode_boundary_blocks(payload),
                  "varint overlong");
 
     Serializer short_out;
@@ -534,7 +401,7 @@ TEST(BoundaryBlockV2Validation, ColumnVarintCorruptionCannotEatValueRun) {
     short_out.write(std::uint8_t{0x80});  // stream ends mid-varint
     const auto short_payload = short_out.take();
     EXPECT_DEATH(
-        (void)decode_boundary_blocks(short_payload, BoundaryWireFormat::V2Soa),
+        (void)decode_boundary_blocks(short_payload),
         "entry count exceeds payload");
 }
 
@@ -550,20 +417,7 @@ TEST(BoundaryBlockV2Validation, TruncatedPreRaiseValueRunDies) {
     out.pad_to(sizeof(Weight));
     out.write(1.0);               // second value missing
     const auto payload = out.take();
-    EXPECT_DEATH((void)decode_boundary_blocks(payload, BoundaryWireFormat::V2Soa),
-                 "entry count exceeds payload");
-}
-
-TEST(BoundaryBlockValidation, TruncatedPreRaiseValueRunDiesV1) {
-    // Same corruption through the v1 AoS path: count says two DvEntry
-    // records, the stream carries one and a half.
-    Serializer out;
-    out.write(VertexId{5});
-    out.write(std::uint64_t{2});
-    out.write(DvEntry{4, 1.0});
-    out.write(VertexId{6});       // half an entry
-    const auto payload = out.take();
-    EXPECT_DEATH((void)decode_boundary_blocks(payload, BoundaryWireFormat::V1Aos),
+    EXPECT_DEATH((void)decode_boundary_blocks(payload),
                  "entry count exceeds payload");
 }
 
@@ -586,6 +440,120 @@ TEST(BoundaryBlockV2Validation, SoaViewDecoderRejectsTheSamePayloads) {
         const auto payload = out.take();
         EXPECT_DEATH((void)decode_boundary_block_soa_views(payload, arena),
                      "varint truncated");
+    }
+}
+
+// Hostile counts and framing around otherwise well-formed blocks, through
+// the copying decoder and the zero-copy SoA-view decoder alike.
+
+TEST(BoundaryBlockValidation, OversizedEntryCountDies) {
+    // The largest count the u32 varint can carry, with nothing behind it.
+    Serializer out;
+    out.write(VertexId{7});
+    out.write_varint(std::numeric_limits<std::uint32_t>::max());
+    const auto payload = out.take();
+    EXPECT_DEATH((void)decode_boundary_blocks(payload), "entry count exceeds payload");
+}
+
+TEST(BoundaryBlockValidation, OverflowWrappingEntryCountDies) {
+    // A five-byte count of 2^32 + 3: truncated to 32 bits it would read as 3,
+    // and a well-formed three-entry block follows to make that wrap look
+    // valid. The varint reader must reject the spill past 32 bits.
+    Serializer out;
+    out.write(VertexId{1});
+    out.write_varint((std::uint64_t{1} << 32) + 3);
+    out.write(v2::kDelta);
+    out.write_varint(0);
+    out.write_varint(1);
+    out.write_varint(1);
+    out.pad_to(sizeof(Weight));
+    for (int i = 0; i < 3; ++i) {
+        out.write(1.5);
+    }
+    const auto payload = out.take();
+    EXPECT_DEATH((void)decode_boundary_blocks(payload), "varint overlong");
+}
+
+TEST(BoundaryBlockValidation, DeclaredCountPastPayloadEndDies) {
+    // Count, encoding and all three columns are well formed, but only two of
+    // the three distances are shipped.
+    Serializer out;
+    out.write(VertexId{3});
+    out.write_varint(3);
+    out.write(v2::kDelta);
+    out.write_varint(0);
+    out.write_varint(1);
+    out.write_varint(1);
+    out.pad_to(sizeof(Weight));
+    out.write(1.5);
+    out.write(2.5);
+    const auto payload = out.take();
+    EXPECT_DEATH((void)decode_boundary_blocks(payload), "entry count exceeds payload");
+}
+
+TEST(BoundaryBlockValidation, TruncatedHeaderDies) {
+    // Vertex and a zero count, then the payload ends before the column
+    // encoding byte.
+    Serializer out;
+    out.write(VertexId{9});
+    out.write_varint(0);
+    const auto payload = out.take();
+    EXPECT_DEATH((void)decode_boundary_blocks(payload), "header truncated");
+}
+
+TEST(BoundaryBlockValidation, TrailingGarbageAfterValidBlockDies) {
+    std::vector<BoundaryBlock> blocks(1);
+    blocks[0].vertex = 9;
+    blocks[0].entries.push_back({4, 2.5});
+    auto payload = encode_boundary_blocks(blocks);
+    payload.resize(payload.size() + 5);  // 5 stray bytes: not even a header
+    EXPECT_DEATH((void)decode_boundary_blocks(payload), "header truncated");
+}
+
+TEST(BoundaryBlockValidation, ViewDecoderOversizedEntryCountDies) {
+    Serializer out;
+    out.write(VertexId{7});
+    out.write_varint(std::numeric_limits<std::uint32_t>::max());
+    const auto payload = out.take();
+    std::vector<VertexId> arena;
+    EXPECT_DEATH((void)decode_boundary_block_soa_views(payload, arena),
+                 "entry count exceeds payload");
+}
+
+TEST(BoundaryBlockValidation, ViewDecoderTruncatedHeaderDies) {
+    const std::vector<std::byte> payload(sizeof(VertexId) - 2);  // half a vertex id
+    std::vector<VertexId> arena;
+    EXPECT_DEATH((void)decode_boundary_block_soa_views(payload, arena), "header truncated");
+}
+
+TEST(BoundaryBlockValidation, ViewDecoderMatchesCopyingDecoder) {
+    // Fixed blocks covering an empty block, a dense (run-length) block and a
+    // sparse (delta-varint) one.
+    Rng rng(99);
+    std::vector<BoundaryBlock> blocks(4);
+    for (std::size_t b = 0; b < blocks.size(); ++b) {
+        blocks[b].vertex = static_cast<VertexId>(100 + b);
+        VertexId col = static_cast<VertexId>(rng.uniform(1000));
+        const std::size_t count = b == 0 ? 0 : 1 + rng.uniform(50);
+        for (std::size_t i = 0; i < count; ++i) {
+            col += b % 2 == 1 ? 1 : 1 + static_cast<VertexId>(rng.uniform(500));
+            blocks[b].entries.push_back({col, rng.uniform(0.1, 9.0)});
+        }
+    }
+    const auto payload = encode_boundary_blocks(blocks);
+    const auto copies = decode_boundary_blocks(payload);
+    std::vector<VertexId> arena;
+    const auto views = decode_boundary_block_soa_views(payload, arena);
+    ASSERT_EQ(copies.size(), views.size());
+    ASSERT_EQ(copies.size(), blocks.size());
+    for (std::size_t b = 0; b < copies.size(); ++b) {
+        EXPECT_EQ(copies[b].vertex, views[b].vertex);
+        ASSERT_EQ(copies[b].entries.size(), views[b].cols.size());
+        ASSERT_EQ(copies[b].entries.size(), views[b].dists.size());
+        for (std::size_t i = 0; i < copies[b].entries.size(); ++i) {
+            EXPECT_EQ(copies[b].entries[i].column, views[b].cols[i]);
+            EXPECT_EQ(copies[b].entries[i].distance, views[b].dists[i]);
+        }
     }
 }
 

@@ -19,6 +19,7 @@
 #include "core/quality.hpp"
 #include "core/strategies.hpp"
 #include "graph/generators.hpp"
+#include "lattice.hpp"
 #include "refine/demand.hpp"
 #include "serve/service.hpp"
 #include "serve/snapshot.hpp"
@@ -635,113 +636,98 @@ TEST(Serve, DeltaVsFullLatticeBitIdentical) {
     // The O(changed) delta publication path (with sharded planes) against
     // the full-rebuild path: bit-identical snapshots — scores, reachable,
     // changed list, frac_unknown, total_reachable, metadata — and identical
-    // top-k at every checkpoint, across ranks × backend × wire format ×
-    // sync/async RC, with a mid-RC addition, a deletion and a shard
+    // top-k at every checkpoint, across ranks × backend × sync/async RC
+    // (tests/lattice.hpp), with a mid-RC addition, a deletion and a shard
     // migration in flight. Two engines run the identical deterministic
     // schedule; only the serving configuration differs.
-    for (const std::uint32_t ranks : {2u, 4u, 8u}) {
-        for (const BackendKind backend :
-             {BackendKind::Sequential, BackendKind::Threaded}) {
-            for (const BoundaryWireFormat wire :
-                 {BoundaryWireFormat::V1Aos, BoundaryWireFormat::V2Soa}) {
-                for (const bool rc_async : {false, true}) {
-                    SCOPED_TRACE(std::string("ranks=") +
-                                 std::to_string(ranks) + " backend=" +
-                                 (backend == BackendKind::Threaded ? "thr"
-                                                                   : "seq") +
-                                 (wire == BoundaryWireFormat::V1Aos
-                                      ? " v1aos"
-                                      : " v2soa") +
-                                 (rc_async ? " async" : " sync"));
-                    const auto make_engine = [&] {
-                        Rng rng(21);
-                        auto g = barabasi_albert(72, 2, rng);
-                        EngineConfig config = serve_config(ranks);
-                        config.backend = backend;
-                        config.wire_format = wire;
-                        config.rc_async = rc_async;
-                        auto engine = std::make_unique<AnytimeEngine>(
-                            std::move(g), config);
-                        engine->initialize();
-                        return engine;
-                    };
-                    auto ea = make_engine();  // delta + sharded (defaults)
-                    auto eb = make_engine();  // full + unsharded baseline
-                    ServeConfig full_cfg;
-                    full_cfg.delta_publication = false;
-                    full_cfg.shard_reads = false;
-                    QueryService sa(*ea);
-                    QueryService sb(*eb, full_cfg);
+    for (const LatticeCase& c : lattice_cases()) {
+        const auto [ranks, backend, format, rc_async] = c;
+        SCOPED_TRACE(lattice_name(c));
+        const auto make_engine = [&] {
+            Rng rng(21);
+            auto g = barabasi_albert(72, 2, rng);
+            EngineConfig config = serve_config(ranks);
+            config.backend = backend;
+            config.rc_async = rc_async;
+            auto engine = std::make_unique<AnytimeEngine>(
+                std::move(g), config);
+            engine->initialize();
+            return engine;
+        };
+        auto ea = make_engine();  // delta + sharded (defaults)
+        auto eb = make_engine();  // full + unsharded baseline
+        ServeConfig full_cfg;
+        full_cfg.delta_publication = false;
+        full_cfg.shard_reads = false;
+        QueryService sa(*ea);
+        QueryService sb(*eb, full_cfg);
 
-                    const auto compare = [&] {
-                        const auto a = sa.snapshot();
-                        const auto b = sb.snapshot();
-                        ASSERT_NE(a, nullptr);
-                        ASSERT_NE(b, nullptr);
-                        ASSERT_EQ(a->version, b->version);
-                        EXPECT_EQ(a->rc_step, b->rc_step);
-                        EXPECT_EQ(a->quiescent, b->quiescent);
-                        EXPECT_EQ(a->frac_unknown, b->frac_unknown);
-                        EXPECT_EQ(a->total_reachable, b->total_reachable);
-                        EXPECT_EQ(a->changed, b->changed);
-                        ASSERT_EQ(a->scores.size(), b->scores.size());
-                        for (std::size_t v = 0; v < a->scores.size(); ++v) {
-                            ASSERT_EQ(a->scores.closeness(v),
-                                      b->scores.closeness(v))
-                                << "vertex " << v;
-                            ASSERT_EQ(a->scores.reachable(v),
-                                      b->scores.reachable(v))
-                                << "vertex " << v;
-                        }
-                        const auto ta = sa.topk(5, FreshnessPolicy::ServeStale);
-                        const auto tb = sb.topk(5, FreshnessPolicy::ServeStale);
-                        ASSERT_EQ(ta.meta.status, QueryStatus::Ok);
-                        ASSERT_EQ(tb.meta.status, QueryStatus::Ok);
-                        EXPECT_EQ(ta.entries, tb.entries);
-                    };
-                    const auto drive = [&](const auto& op) {
-                        op(*ea);
-                        op(*eb);
-                        compare();
-                    };
-
-                    drive([](AnytimeEngine& e) { e.run_rc_steps(2); });
-                    drive([](AnytimeEngine& e) {  // mid-RC addition
-                        GrowthConfig gc;
-                        gc.num_new = 6;
-                        Rng rng(31);
-                        const auto batch =
-                            grow_batch(e.num_vertices(), gc, rng);
-                        RoundRobinPS strategy;
-                        e.apply_addition(batch, strategy);
-                    });
-                    drive([](AnytimeEngine& e) { e.run_rc_steps(1); });
-                    drive([](AnytimeEngine& e) {  // deletion mid-settle
-                        const auto& nbs = e.graph().neighbors(0);
-                        ASSERT_FALSE(nbs.empty());
-                        ShrinkBatch batch;
-                        batch.deletions.push_back({0, nbs.front().to, 0.0});
-                        e.apply_deletion(batch);
-                    });
-                    drive([&](AnytimeEngine& e) {  // migration in flight
-                        const ShardOwnership& own = e.shard_ownership();
-                        const ShardId s = own.shard(0);
-                        const RankId from = own.rank_of(s);
-                        const RankId to = (from + 1) % ranks;
-                        const std::vector<ShardMove> moves{{s, from, to}};
-                        e.migrate_shards(moves);
-                    });
-                    drive([](AnytimeEngine& e) { e.run_to_quiescence(); });
-                    // Quiescent republication: the delta is empty and the
-                    // streams must still agree bit-for-bit.
-                    sa.publish();
-                    sb.publish();
-                    compare();
-                    EXPECT_GT(sa.publication_stats().delta_publications, 0u);
-                    EXPECT_EQ(sb.publication_stats().delta_publications, 0u);
-                }
+        const auto compare = [&] {
+            const auto a = sa.snapshot();
+            const auto b = sb.snapshot();
+            ASSERT_NE(a, nullptr);
+            ASSERT_NE(b, nullptr);
+            ASSERT_EQ(a->version, b->version);
+            EXPECT_EQ(a->rc_step, b->rc_step);
+            EXPECT_EQ(a->quiescent, b->quiescent);
+            EXPECT_EQ(a->frac_unknown, b->frac_unknown);
+            EXPECT_EQ(a->total_reachable, b->total_reachable);
+            EXPECT_EQ(a->changed, b->changed);
+            ASSERT_EQ(a->scores.size(), b->scores.size());
+            for (std::size_t v = 0; v < a->scores.size(); ++v) {
+                ASSERT_EQ(a->scores.closeness(v),
+                          b->scores.closeness(v))
+                    << "vertex " << v;
+                ASSERT_EQ(a->scores.reachable(v),
+                          b->scores.reachable(v))
+                    << "vertex " << v;
             }
-        }
+            const auto ta = sa.topk(5, FreshnessPolicy::ServeStale);
+            const auto tb = sb.topk(5, FreshnessPolicy::ServeStale);
+            ASSERT_EQ(ta.meta.status, QueryStatus::Ok);
+            ASSERT_EQ(tb.meta.status, QueryStatus::Ok);
+            EXPECT_EQ(ta.entries, tb.entries);
+        };
+        const auto drive = [&](const auto& op) {
+            op(*ea);
+            op(*eb);
+            compare();
+        };
+
+        drive([](AnytimeEngine& e) { e.run_rc_steps(2); });
+        drive([](AnytimeEngine& e) {  // mid-RC addition
+            GrowthConfig gc;
+            gc.num_new = 6;
+            Rng rng(31);
+            const auto batch =
+                grow_batch(e.num_vertices(), gc, rng);
+            RoundRobinPS strategy;
+            e.apply_addition(batch, strategy);
+        });
+        drive([](AnytimeEngine& e) { e.run_rc_steps(1); });
+        drive([](AnytimeEngine& e) {  // deletion mid-settle
+            const auto& nbs = e.graph().neighbors(0);
+            ASSERT_FALSE(nbs.empty());
+            ShrinkBatch batch;
+            batch.deletions.push_back({0, nbs.front().to, 0.0});
+            e.apply_deletion(batch);
+        });
+        drive([&](AnytimeEngine& e) {  // migration in flight
+            const ShardOwnership& own = e.shard_ownership();
+            const ShardId s = own.shard(0);
+            const RankId from = own.rank_of(s);
+            const RankId to = (from + 1) % ranks;
+            const std::vector<ShardMove> moves{{s, from, to}};
+            e.migrate_shards(moves);
+        });
+        drive([](AnytimeEngine& e) { e.run_to_quiescence(); });
+        // Quiescent republication: the delta is empty and the
+        // streams must still agree bit-for-bit.
+        sa.publish();
+        sb.publish();
+        compare();
+        EXPECT_GT(sa.publication_stats().delta_publications, 0u);
+        EXPECT_EQ(sb.publication_stats().delta_publications, 0u);
     }
 }
 
