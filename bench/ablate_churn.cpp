@@ -29,6 +29,7 @@
 #include "core/edge_delete.hpp"
 #include "core/engine.hpp"
 #include "graph/generators.hpp"
+#include "harness.hpp"
 
 namespace aa {
 namespace {
@@ -211,7 +212,7 @@ int main(int argc, char** argv) {
 
         std::printf("   k=%4zu  -%zu edges +%zu edges ~%zu reweights  "
                     "invalidated %zu in %zu rounds (%zu pulled)  anytime %8.4fs  "
-                    "restart %8.4fs  %.1fx\n",
+                    "restart %8.4fs  %.2fx\n",
                     k, churn.shrink.deletions.size(), churn.additions.size(),
                     churn.shrink.reweights.size(), report.invalidated_entries,
                     report.cascade_rounds, report.pulled_entries, anytime_delta,
@@ -227,6 +228,7 @@ int main(int argc, char** argv) {
             ", \"edges\": " + std::to_string(host.num_edges()) + "},\n";
     json += "  \"ranks\": " + std::to_string(config.num_ranks) +
             ",\n  \"seed\": " + std::to_string(opt.seed) + ",\n";
+    json += "  \"host\": " + bench::host_fingerprint_json() + ",\n";
     json += "  \"note\": \"anytime_delta_s is the simulated cost of "
             "apply_deletion + add_edges + reconvergence on a converged "
             "engine; restart_s is a from-scratch run on the final graph. "

@@ -56,7 +56,8 @@ int main(int argc, char** argv) {
         const GrowthBatch batch =
             make_batch(host.num_vertices(), batch_size, options.seed + batch_size);
         JsonReport* rp = batch_size == batch_sizes.back() ? &report : nullptr;
-        const std::string tag = "@" + std::to_string(batch_size);
+        std::string tag = "@";  // appended, not `"@" + ...`: gcc 12 -Wrestrict
+        tag += std::to_string(batch_size);
         const Outcome scratch = run(host, config, RepartitionMode::Scratch, batch,
                                     rp, "scratch" + tag);
         const Outcome adaptive = run(host, config, RepartitionMode::Adaptive, batch,

@@ -57,7 +57,8 @@ int main(int argc, char** argv) {
         RoundRobinPS round_robin;
         // One timeline per strategy, at the sweep's largest batch.
         JsonReport* rp = batch_size == batch_sizes.back() ? &report : nullptr;
-        const std::string tag = "@" + std::to_string(batch_size);
+        std::string tag = "@";  // appended, not `"@" + ...`: gcc 12 -Wrestrict
+        tag += std::to_string(batch_size);
         table.add_row({std::to_string(batch_size),
                        fmt_seconds(run_scenario(host, config, 0, batch, repartition,
                                                 rp, "repartition" + tag)),

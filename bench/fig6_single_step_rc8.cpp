@@ -53,7 +53,8 @@ int main(int argc, char** argv) {
         CutEdgePS cut_edge(options.seed * 3 + 1);
         RoundRobinPS round_robin;
         JsonReport* rp = batch_size == batch_sizes.back() ? &report : nullptr;
-        const std::string tag = "@" + std::to_string(batch_size);
+        std::string tag = "@";  // appended, not `"@" + ...`: gcc 12 -Wrestrict
+        tag += std::to_string(batch_size);
         table.add_row({std::to_string(batch_size),
                        fmt_seconds(run_scenario(host, config, 8, batch, repartition,
                                                 rp, "repartition" + tag)),

@@ -58,7 +58,8 @@ int main(int argc, char** argv) {
         CutEdgePS cut_edge(options.seed * 3 + 1);
         RoundRobinPS round_robin;
         JsonReport* rp = batch_size == batch_sizes.back() ? &report : nullptr;
-        const std::string tag = "@" + std::to_string(batch_size);
+        std::string tag = "@";  // appended, not `"@" + ...`: gcc 12 -Wrestrict
+        tag += std::to_string(batch_size);
         table.add_row(
             {std::to_string(batch_size),
              std::to_string(new_cut_edges(host, config, batch, repartition, rp,

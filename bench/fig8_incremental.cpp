@@ -80,7 +80,8 @@ int main(int argc, char** argv) {
         const std::string label =
             std::to_string(per_step) + "(" + std::to_string(per_step * kSteps) + ")";
         JsonReport* rp = per_step == step_sizes.back() ? &report : nullptr;
-        const std::string tag = "@" + std::to_string(per_step);
+        std::string tag = "@";  // appended, not `"@" + ...`: gcc 12 -Wrestrict
+        tag += std::to_string(per_step);
         table.add_row(
             {label,
              fmt_seconds(restart_run(host, config, per_step, options.seed)),

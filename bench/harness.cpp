@@ -10,6 +10,11 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <thread>
+
+#if defined(__unix__) || defined(__APPLE__)
+#include <unistd.h>
+#endif
 
 namespace aa::bench {
 
@@ -296,6 +301,39 @@ std::string fmt_double(double value, int precision) {
     out.precision(precision);
     out << std::fixed << value;
     return out.str();
+}
+
+std::string host_fingerprint_json() {
+    std::string cpu = "unknown";
+    std::ifstream cpuinfo("/proc/cpuinfo");
+    for (std::string line; std::getline(cpuinfo, line);) {
+        if (line.rfind("model name", 0) == 0) {
+            const auto colon = line.find(':');
+            if (colon != std::string::npos && colon + 2 <= line.size()) {
+                cpu = line.substr(colon + 2);
+            }
+            break;
+        }
+    }
+    long l3_bytes = 0;
+#if defined(_SC_LEVEL3_CACHE_SIZE)
+    l3_bytes = std::max(0L, sysconf(_SC_LEVEL3_CACHE_SIZE));
+#endif
+    const unsigned threads = std::max(1u, std::thread::hardware_concurrency());
+#if defined(__VERSION__)
+    const std::string compiler = __VERSION__;
+#else
+    const std::string compiler = "unknown";
+#endif
+#if defined(NDEBUG)
+    const char* asserts = "false";
+#else
+    const char* asserts = "true";
+#endif
+    return "{\"cpu\": \"" + json_escape(cpu) +
+           "\", \"hardware_concurrency\": " + std::to_string(threads) +
+           ", \"l3_bytes\": " + std::to_string(l3_bytes) + ", \"compiler\": \"" +
+           json_escape(compiler) + "\", \"asserts\": " + asserts + "}";
 }
 
 }  // namespace aa::bench

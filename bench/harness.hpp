@@ -123,4 +123,10 @@ private:
 /// echoed into the report.
 JsonReport make_report(const std::string& bench, const Options& options);
 
+/// The host a BENCH file was recorded on, as a JSON object: CPU model,
+/// std::thread::hardware_concurrency(), last-level cache bytes, compiler and
+/// whether asserts were compiled in. Timings compare only between files with
+/// the same fingerprint.
+std::string host_fingerprint_json();
+
 }  // namespace aa::bench

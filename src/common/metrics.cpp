@@ -193,23 +193,37 @@ std::string json_escape(std::string_view s) {
 }
 
 std::string span_to_json(const MetricSpan& s) {
-    std::string out = "{\"name\":\"" + json_escape(s.name) + "\"";
-    out += ",\"rank\":" + std::to_string(s.rank);
-    out += ",\"step\":" + std::to_string(s.step);
-    out += ",\"depth\":" + std::to_string(s.depth);
-    out += ",\"parent\":" + std::to_string(s.parent);
-    out += ",\"t_begin\":" + format_double(s.t_begin);
-    out += ",\"t_end\":" + format_double(s.t_end);
-    out += ",\"ops\":" + format_double(s.ops);
-    out += ",\"bytes\":" + std::to_string(s.bytes);
-    out += ",\"messages\":" + std::to_string(s.messages);
+    // Appends only: gcc 12 reports a false -Wrestrict inside libstdc++ for
+    // `literal + std::string` temporaries appended to a string.
+    std::string out = "{\"name\":\"";
+    out += json_escape(s.name);
+    out += '"';
+    const auto field = [&out](const char* key, const std::string& value) {
+        out += ",\"";
+        out += key;
+        out += "\":";
+        out += value;
+    };
+    field("rank", std::to_string(s.rank));
+    field("step", std::to_string(s.step));
+    field("depth", std::to_string(s.depth));
+    field("parent", std::to_string(s.parent));
+    field("t_begin", format_double(s.t_begin));
+    field("t_end", format_double(s.t_end));
+    field("ops", format_double(s.ops));
+    field("bytes", std::to_string(s.bytes));
+    field("messages", std::to_string(s.messages));
     if (!s.attrs.empty()) {
         out += ",\"attrs\":{";
         bool first = true;
         for (const auto& [k, v] : s.attrs) {
             if (!first) out += ",";
             first = false;
-            out += "\"" + json_escape(k) + "\":\"" + json_escape(v) + "\"";
+            out += '"';
+            out += json_escape(k);
+            out += "\":\"";
+            out += json_escape(v);
+            out += '"';
         }
         out += "}";
     }
@@ -224,7 +238,10 @@ std::string spans_to_json(std::span<const MetricSpan> spans, int indent) {
         out += (i == 0 ? "\n" : ",\n");
         out += pad + span_to_json(spans[i]);
     }
-    if (!spans.empty()) out += "\n" + std::string(pad.size() >= 2 ? pad.size() - 2 : 0, ' ');
+    if (!spans.empty()) {
+        out += '\n';
+        out.append(pad.size() >= 2 ? pad.size() - 2 : 0, ' ');
+    }
     out += "]";
     return out;
 }
@@ -327,21 +344,21 @@ std::string spans_to_csv(std::span<const MetricSpan> spans) {
     std::string out =
         "name,rank,step,depth,parent,t_begin,t_end,ops,bytes,messages,attrs\n";
     for (const MetricSpan& s : spans) {
+        // Appends only (see span_to_json).
         out += attr_escape(s.name);
-        out += "," + std::to_string(s.rank);
-        out += "," + std::to_string(s.step);
-        out += "," + std::to_string(s.depth);
-        out += "," + std::to_string(s.parent);
-        out += "," + format_double(s.t_begin);
-        out += "," + format_double(s.t_end);
-        out += "," + format_double(s.ops);
-        out += "," + std::to_string(s.bytes);
-        out += "," + std::to_string(s.messages);
+        for (const std::string& field :
+             {std::to_string(s.rank), std::to_string(s.step), std::to_string(s.depth),
+              std::to_string(s.parent), format_double(s.t_begin), format_double(s.t_end),
+              format_double(s.ops), std::to_string(s.bytes), std::to_string(s.messages)}) {
+            out += ',';
+            out += field;
+        }
         out += ",";
         for (std::size_t i = 0; i < s.attrs.size(); ++i) {
             if (i) out += ";";
-            out += attr_escape(s.attrs[i].first) + "=" +
-                   attr_escape(s.attrs[i].second);
+            out += attr_escape(s.attrs[i].first);
+            out += '=';
+            out += attr_escape(s.attrs[i].second);
         }
         out += "\n";
     }

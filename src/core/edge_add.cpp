@@ -9,15 +9,32 @@
 //                                        deletion machinery in
 //                                        core/edge_delete.cpp).
 //
-// All three share one primitive: the owner of an endpoint tree-broadcasts
-// that endpoint's DV row; every rank folds the row in through its cut edges,
-// owners fold it through the new/changed edge, and every rank bridges the
-// two endpoint columns of its local rows (the paper's
+// All three share one primitive, AnytimeEngine::broadcast_edge_updates: a
+// batch of directed updates {from, to, w} costs one tree broadcast per root
+// rank (the owner of some `from`), carrying that root's update list and each
+// of its distinct `from` rows once, encoded with the boundary-block codec of
+// the RC exchange (core/rc.hpp). Every rank then folds the rows in through
+// its cut edges, owners fold a row through a same-rank new/changed edge, and
+// every rank bridges the two endpoint columns of its local rows (the paper's
 // D[x][t] > D[x][u] + w + D[v][t] inequality, applied where it can bind
 // immediately). Remaining consequences flow through the normal prop/send
 // worklists, which reach the same fixpoint as the paper's full sweep at
 // incremental cost.
+//
+// The rows are snapshots taken before any update of the batch applies. The
+// owner-row witness invariant the deletion cascade relies on (ARCHITECTURE.md,
+// "Fully-dynamic updates") still holds for every value written here:
+//   * a folded value w + d_snap(from, t) is witnessed by `from`: rows only
+//     decrease, so the owner row's d_now(from, t) <= d_snap(from, t);
+//   * bridging runs per update, in the same order on every rank, and bridges
+//     every local row, so a bridged entry's witness is the bridged row of
+//     its old witness, update by update.
+// A root's later improvements to a shipped row are send-marked by relax(),
+// and the new cut edges are in place before the snapshot, so together with
+// the snapshot they make the row's full contents visible to every new
+// neighbour.
 #include <algorithm>
+#include <memory>
 
 #include "common/assert.hpp"
 #include "core/engine.hpp"
@@ -26,98 +43,121 @@
 
 namespace aa {
 
-namespace {
-
-struct EdgeBroadcast {
-    VertexId from;  // the broadcast carries row(from)
-    VertexId to;    // the other endpoint of the new/changed edge
-    Weight weight;
-    std::vector<DvEntry> entries;  // finite entries of row(from)
-};
-
-std::vector<std::byte> encode_edge_broadcast(const EdgeBroadcast& b) {
-    Serializer out;
-    out.write(b.from);
-    out.write(b.to);
-    out.write(b.weight);
-    out.write_span(std::span<const DvEntry>(b.entries));
-    return out.take();
-}
-
-EdgeBroadcast decode_edge_broadcast(std::span<const std::byte> payload) {
-    Deserializer in(payload);
-    EdgeBroadcast b;
-    b.from = in.read<VertexId>();
-    b.to = in.read<VertexId>();
-    b.weight = in.read<Weight>();
-    b.entries = in.read_vector<DvEntry>();
-    return b;
-}
-
-}  // namespace
-
-double AnytimeEngine::broadcast_edge_update(VertexId from, VertexId to, Weight w) {
+double AnytimeEngine::broadcast_edge_updates(std::span<const DirectedEdgeUpdate> updates) {
+    if (updates.empty()) {
+        return 0;
+    }
     const auto num_ranks = cluster_->num_ranks();
-    const RankId r_from = ownership_.owner(from);
-    const RankId r_to = ownership_.owner(to);
     double total_ops = 0;
 
-    // Tree broadcast of row(from) — paper Figure 3, line 22.
-    EdgeBroadcast b;
-    b.from = from;
-    b.to = to;
-    b.weight = w;
-    b.entries = ranks_[r_from].store.finite_entries(ranks_[r_from].sg.local_id(from));
-    cluster_->charge_compute(r_from, static_cast<double>(b.entries.size()));
-    total_ops += static_cast<double>(b.entries.size());
-    cluster_->broadcast(r_from, MessageTag::NewVertexDvRow,
-                        encode_edge_broadcast(b));
+    // Snapshot and encode every root's rows before any update applies, then
+    // tree-broadcast each root's payload (paper Figure 3, line 22, batched).
+    std::vector<std::vector<DirectedEdgeUpdate>> by_root(num_ranks);
+    for (const DirectedEdgeUpdate& u : updates) {
+        by_root[ownership_.owner(u.from)].push_back(u);
+    }
+    std::vector<std::shared_ptr<const std::vector<std::byte>>> payloads(num_ranks);
+    std::vector<VertexId> rows;
+    for (RankId root = 0; root < num_ranks; ++root) {
+        if (by_root[root].empty()) {
+            continue;
+        }
+        rows.clear();
+        for (const DirectedEdgeUpdate& u : by_root[root]) {
+            rows.push_back(u.from);
+        }
+        std::sort(rows.begin(), rows.end());
+        rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+        Serializer out;
+        encode_edge_update_header(out, by_root[root]);
+        const RankState& st = ranks_[root];
+        double ops = 0;
+        for (const VertexId v : rows) {
+            ops += static_cast<double>(
+                encode_row_block(out, v, st.store.row(st.sg.local_id(v))));
+        }
+        cluster_->charge_compute(root, ops);
+        total_ops += ops;
+        payloads[root] = Message::share(out.take());
+    }
+    std::size_t num_roots = 0;
+    for (RankId root = 0; root < num_ranks; ++root) {
+        if (payloads[root] != nullptr) {
+            cluster_->broadcast(root, MessageTag::EdgeUpdateRows, payloads[root]);
+            ++num_roots;
+        }
+    }
 
-    // Apply the update at every rank. Receivers parse the wire payload; the
-    // sender applies its own copy directly (`b` is read-only from here, so
-    // concurrent rank closures may share it).
+    // Apply at every rank, roots in ascending order. Receivers parse the
+    // wire payloads; a root reads its own bytes (shared, read-only, so
+    // concurrent rank closures may view them).
     std::vector<double> rank_ops(num_ranks, 0);
     run_rank_phase([&](RankId r, std::vector<MetricSpan>&) {
         RankState& state = ranks_[r];
-        const EdgeBroadcast* update = &b;
-        EdgeBroadcast decoded;
-        if (r != r_from) {
-            const auto inbox = cluster_->receive(r);
-            AA_ASSERT(!inbox.empty());
-            decoded = decode_edge_broadcast(inbox.back().bytes());
-            update = &decoded;
+        const auto inbox = cluster_->receive(r);
+        std::vector<std::span<const std::byte>> bytes(num_ranks);
+        for (const Message& m : inbox) {
+            AA_ASSERT(m.tag == MessageTag::EdgeUpdateRows && payloads[m.from] != nullptr);
+            bytes[m.from] = m.bytes();
+        }
+        AA_ASSERT(inbox.size() + (payloads[r] != nullptr ? 1 : 0) == num_roots);
+        if (payloads[r] != nullptr) {
+            bytes[r] = *payloads[r];
+        }
+        std::vector<std::vector<VertexId>> arenas(num_ranks);
+        std::vector<std::pair<RankId, EdgeUpdatePayload>> decoded;
+        for (RankId root = 0; root < num_ranks; ++root) {
+            if (payloads[root] != nullptr) {
+                decoded.emplace_back(root, decode_edge_update_payload(
+                                               bytes[root], state.sg.ownership(), root,
+                                               arenas[root]));
+            }
         }
         double ops = 0;
         // Same-rank edge: fold row(from) through the edge into row(to)
         // directly (the cross-rank case is covered by the cut-edge ingestion
         // below, which sees the new edge in its external adjacency).
-        if (r == r_to && r_from == r_to) {
-            const LocalId l_to = state.sg.local_id(to);
-            for (const DvEntry& entry : update->entries) {
-                state.store.relax(l_to, entry.column, update->weight + entry.distance);
-                ops += 1;
+        for (const auto& [root, payload] : decoded) {
+            if (root != r) {
+                continue;
+            }
+            for (std::size_t i = 0; i < payload.updates.size(); ++i) {
+                const DirectedEdgeUpdate& u = payload.updates[i];
+                if (!state.sg.owns(u.to)) {
+                    continue;
+                }
+                const BoundaryBlockSoaView& row = payload.rows[payload.row_of[i]];
+                state.store.relax_batch_soa(state.sg.local_id(u.to), row.cols,
+                                            row.dists, u.weight);
+                ops += static_cast<double>(row.cols.size());
             }
         }
-        // Any rank with a cut edge to `from` ingests the broadcast as it
-        // would a boundary-DV update: d(x, t) <= w(x, from) + d(from, t).
-        for (const auto& [local, edge_w] : state.sg.external_neighbors(from)) {
-            for (const DvEntry& entry : update->entries) {
-                state.store.relax(local, entry.column, edge_w + entry.distance);
-                ops += 1;
+        // Any rank with a cut edge to a row's vertex ingests the row once, as
+        // it would a boundary-DV update: d(x, t) <= w(x, from) + d(from, t).
+        for (const auto& [root, payload] : decoded) {
+            for (const BoundaryBlockSoaView& row : payload.rows) {
+                for (const auto& [local, edge_w] : state.sg.external_neighbors(row.vertex)) {
+                    state.store.relax_batch_soa(local, row.cols, row.dists, edge_w);
+                    ops += static_cast<double>(row.cols.size());
+                }
             }
         }
-        // Every rank bridges the endpoint columns of its local rows:
-        // d(x, to) <= d(x, from) + w and d(x, from) <= d(x, to) + w.
-        for (LocalId x = 0; x < state.sg.num_local(); ++x) {
-            const Weight d_from = state.store.at(x, from);
-            if (d_from < kInfinity) {
-                state.store.relax(x, to, d_from + w);
+        // Every rank bridges the endpoint columns of its local rows, update
+        // by update: d(x, to) <= d(x, from) + w and d(x, from) <= d(x, to) + w.
+        for (const auto& [root, payload] : decoded) {
+            for (const DirectedEdgeUpdate& u : payload.updates) {
+                for (LocalId x = 0; x < state.sg.num_local(); ++x) {
+                    const Weight d_from = state.store.at(x, u.from);
+                    if (d_from < kInfinity) {
+                        state.store.relax(x, u.to, d_from + u.weight);
+                    }
+                    const Weight d_to = state.store.at(x, u.to);
+                    if (d_to < kInfinity) {
+                        state.store.relax(x, u.from, d_to + u.weight);
+                    }
+                    ops += 2;
+                }
             }
-            const Weight d_to = state.store.at(x, to);
-            if (d_to < kInfinity) {
-                state.store.relax(x, from, d_to + w);
-            }
-            ops += 2;
         }
         cluster_->charge_compute(r, ops);
         rank_ops[r] = ops;
@@ -192,6 +232,7 @@ void AnytimeEngine::anywhere_add(const GrowthBatch& batch,
             sim_seconds());
     }
     const double ops_before_edges = dynamic_ops;
+    std::vector<DirectedEdgeUpdate> updates;
     for (const Edge& e : batch.edges) {
         const VertexId lo = std::min(e.u, e.v);
         const VertexId hi = std::max(e.u, e.v);
@@ -205,8 +246,9 @@ void AnytimeEngine::anywhere_add(const GrowthBatch& batch,
         if (r_hi != r_lo) {
             ranks_[r_hi].sg.add_local_edge(lo, hi, e.weight);
         }
-        dynamic_ops += broadcast_edge_update(lo, hi, e.weight);
+        updates.push_back({lo, hi, e.weight});
     }
+    dynamic_ops += broadcast_edge_updates(updates);
     if (mx) {
         metrics_->span_add(broadcast_span, dynamic_ops - ops_before_edges);
         metrics_->span_attr(broadcast_span, "edges",
@@ -246,6 +288,7 @@ void AnytimeEngine::add_edges(std::span<const Edge> edges) {
     const auto num_ranks = cluster_->num_ranks();
     double dynamic_ops = 0;
 
+    std::vector<DirectedEdgeUpdate> updates;
     for (const Edge& e : edges) {
         AA_ASSERT(e.u < graph_.num_vertices() && e.v < graph_.num_vertices());
         if (!graph_.add_edge(e.u, e.v, e.weight)) {
@@ -260,10 +303,11 @@ void AnytimeEngine::add_edges(std::span<const Edge> edges) {
         // Both endpoints are established vertices with full rows, so both
         // rows are broadcast (prior work [9] evaluates the new-edge
         // inequality in both directions).
-        dynamic_ops += broadcast_edge_update(e.u, e.v, e.weight);
-        dynamic_ops += broadcast_edge_update(e.v, e.u, e.weight);
+        updates.push_back({e.u, e.v, e.weight});
+        updates.push_back({e.v, e.u, e.weight});
         report_.edge_additions += 1;
     }
+    dynamic_ops += broadcast_edge_updates(updates);
 
     std::vector<double> prop_ops(num_ranks, 0);
     run_rank_phase([&](RankId r, std::vector<MetricSpan>&) {
@@ -309,8 +353,8 @@ bool AnytimeEngine::decrease_edge_weight(VertexId u, VertexId v, Weight new_weig
         ranks_[r_v].sg.update_edge_weight(u, v, new_weight);
     }
 
-    double dynamic_ops = broadcast_edge_update(u, v, new_weight);
-    dynamic_ops += broadcast_edge_update(v, u, new_weight);
+    const DirectedEdgeUpdate both[] = {{u, v, new_weight}, {v, u, new_weight}};
+    double dynamic_ops = broadcast_edge_updates(both);
     std::vector<double> prop_ops(cluster_->num_ranks(), 0);
     run_rank_phase([&](RankId r, std::vector<MetricSpan>&) {
         const double ops =

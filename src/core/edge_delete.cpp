@@ -11,6 +11,7 @@
 #include <bit>
 #include <cstring>
 #include <deque>
+#include <limits>
 #include <map>
 #include <set>
 #include <unordered_map>
@@ -112,7 +113,7 @@ private:
 
 /// Per-rank cascade state.
 struct CascadeRank {
-    std::deque<std::pair<LocalId, VertexId>> queue;  // suspects to check
+    std::vector<std::pair<LocalId, VertexId>> queue;  // suspects to check
     std::vector<std::pair<LocalId, VertexId>> parked;       // this round
     std::vector<std::pair<LocalId, VertexId>> parked_prev;  // last round
     PullCache cache;
@@ -279,34 +280,53 @@ ShrinkReport AnytimeEngine::apply_deletion(const ShrinkBatch& batch) {
             row_requests.insert({a.u, rv});
         }
     }
-    for (const auto& [vtx, dest] : row_requests) {
+    // One payload per (owner, requester): the requested rows as boundary
+    // blocks in ascending vertex order, each row encoded once and its bytes
+    // appended to every requester's payload.
+    std::vector<std::vector<std::vector<std::byte>>> row_payloads(
+        num_ranks, std::vector<std::vector<std::byte>>(num_ranks));
+    Serializer block;
+    for (auto it = row_requests.begin(); it != row_requests.end();) {
+        const VertexId vtx = it->first;
         const RankId src = ownership_.owner(vtx);
-        RankState& st = ranks_[src];
-        const auto entries = st.store.finite_entries(st.sg.local_id(vtx));
-        cluster_->charge_compute(src, static_cast<double>(entries.size()));
-        dynamic_ops += static_cast<double>(entries.size());
-        Serializer out;
-        out.write(vtx);
-        out.write_span(std::span<const DvEntry>(entries));
-        cluster_->send(src, dest, MessageTag::ShrinkEndpointRow, out.take());
+        const RankState& st = ranks_[src];
+        block.clear();
+        const std::size_t entries =
+            encode_row_block(block, vtx, st.store.row(st.sg.local_id(vtx)));
+        cluster_->charge_compute(src, static_cast<double>(entries));
+        dynamic_ops += static_cast<double>(entries);
+        for (; it != row_requests.end() && it->first == vtx; ++it) {
+            auto& payload = row_payloads[src][it->second];
+            payload.insert(payload.end(), block.view().begin(), block.view().end());
+        }
+    }
+    for (RankId src = 0; src < num_ranks; ++src) {
+        for (RankId dest = 0; dest < num_ranks; ++dest) {
+            if (!row_payloads[src][dest].empty()) {
+                cluster_->send(src, dest, MessageTag::ShrinkEndpointRow,
+                               std::move(row_payloads[src][dest]));
+            }
+        }
     }
     std::vector<std::unordered_map<VertexId, std::vector<Weight>>> peer_rows(
         num_ranks);
+    std::vector<VertexId> arena;
     if (!row_requests.empty()) {
         cluster_->exchange();
         for (RankId r = 0; r < num_ranks; ++r) {
             for (const Message& m : cluster_->receive(r)) {
                 AA_ASSERT(m.tag == MessageTag::ShrinkEndpointRow);
-                Deserializer in(m.bytes());
-                const auto vtx = in.read<VertexId>();
-                const auto entries = in.read_vector<DvEntry>();
-                auto& dense = peer_rows[r][vtx];
-                dense.assign(n, kInfinity);
-                for (const DvEntry& e : entries) {
-                    dense[e.column] = e.distance;
+                for (const BoundaryBlockSoaView& row :
+                     decode_boundary_block_soa_views(m.bytes(), arena)) {
+                    AA_ASSERT(row.cols.empty() || row.cols.back() < n);
+                    auto& dense = peer_rows[r][row.vertex];
+                    dense.assign(n, kInfinity);
+                    for (std::size_t i = 0; i < row.cols.size(); ++i) {
+                        dense[row.cols[i]] = row.dists[i];
+                    }
+                    cluster_->charge_compute(r, static_cast<double>(row.cols.size()));
+                    dynamic_ops += static_cast<double>(row.cols.size());
                 }
-                cluster_->charge_compute(r, static_cast<double>(entries.size()));
-                dynamic_ops += static_cast<double>(entries.size());
             }
         }
     }
@@ -322,14 +342,24 @@ ShrinkReport AnytimeEngine::apply_deletion(const ShrinkBatch& batch) {
         c.requests.resize(num_ranks);
         c.asked.resize(num_ranks);
     }
+    // Dense global -> local index per rank: the cascade resolves one per
+    // neighbour visit, so a flat lookup replaces the subgraph's hash map.
+    constexpr LocalId kNotLocal = std::numeric_limits<LocalId>::max();
+    std::vector<std::vector<LocalId>> local_of(num_ranks);
+    for (RankId p = 0; p < num_ranks; ++p) {
+        local_of[p].assign(n, kNotLocal);
+        for (LocalId l = 0; l < ranks_[p].sg.num_local(); ++l) {
+            local_of[p][ranks_[p].sg.global_id(l)] = l;
+        }
+    }
     const auto seed_endpoint = [&](VertexId u, VertexId v, Weight w_old) {
         const RankId ru = ownership_.owner(u);
         RankState& st = ranks_[ru];
-        const LocalId lu = st.sg.local_id(u);
+        const LocalId lu = local_of[ru][u];
         const auto row_u = st.store.row(lu);
         std::span<const Weight> row_v;
         if (ownership_.owner(v) == ru) {
-            row_v = st.store.row(st.sg.local_id(v));
+            row_v = st.store.row(local_of[ru][v]);
         } else {
             row_v = peer_rows[ru].at(v);
         }
@@ -380,16 +410,20 @@ ShrinkReport AnytimeEngine::apply_deletion(const ShrinkBatch& batch) {
         });
     };
     std::vector<PullKey> missing;
+    std::vector<VertexId> raise_cols;
+    std::vector<Weight> raise_dists;
     while (cascade_busy()) {
         ++rep.cascade_rounds;
         for (RankId p = 0; p < num_ranks; ++p) {
             RankState& st = ranks_[p];
             CascadeRank& c = cr[p];
+            const std::vector<LocalId>& loc = local_of[p];
             std::map<LocalId, std::vector<DvEntry>> raised;
             double ops = 0;
-            while (!c.queue.empty()) {
-                const auto [l, t] = c.queue.front();
-                c.queue.pop_front();
+            // The drain appends to the queue it walks, so index it (and copy
+            // each pair out) instead of holding references.
+            for (std::size_t head = 0; head < c.queue.size(); ++head) {
+                const auto [l, t] = c.queue[head];
                 const Weight cur = st.store.at(l, t);
                 if (!(cur < kInfinity) || st.sg.global_id(l) == t) {
                     continue;  // already invalidated (or the diagonal)
@@ -399,9 +433,9 @@ ShrinkReport AnytimeEngine::apply_deletion(const ShrinkBatch& batch) {
                 missing.clear();
                 for (const Neighbor& nb : st.sg.neighbors(l)) {
                     ops += 1;
-                    const Weight dn = st.sg.owns(nb.to)
-                                          ? st.store.at(st.sg.local_id(nb.to), t)
-                                          : c.cache.get(pull_key(nb.to, t));
+                    const LocalId ln = loc[nb.to];
+                    const Weight dn = ln != kNotLocal ? st.store.at(ln, t)
+                                                     : c.cache.get(pull_key(nb.to, t));
                     if (dn == kRequested) {
                         waiting = true;
                         continue;
@@ -430,10 +464,10 @@ ShrinkReport AnytimeEngine::apply_deletion(const ShrinkBatch& batch) {
                 ++rep.invalidated_entries;
                 for (const Neighbor& nb : st.sg.neighbors(l)) {
                     ops += 1;
-                    if (!st.sg.owns(nb.to)) {
+                    const LocalId ln = loc[nb.to];
+                    if (ln == kNotLocal) {
                         continue;  // handled by the raise below
                     }
-                    const LocalId ln = st.sg.local_id(nb.to);
                     const Weight dn = st.store.at(ln, t);
                     if (dn < kInfinity) {
                         // The surviving neighbour owes the invalidated
@@ -446,14 +480,14 @@ ShrinkReport AnytimeEngine::apply_deletion(const ShrinkBatch& batch) {
                 }
                 raised[l].push_back({t, cur});
             }
+            c.queue.clear();
             // Answer last round's pulls with the values as they stand after
             // this drain (possibly already raised to infinity).
             std::vector<Weight> values;
             for (const auto& [dest, keys] : c.to_answer) {
                 values.clear();
                 for (const PullKey key : keys) {
-                    values.push_back(st.store.at(st.sg.local_id(pull_vertex(key)),
-                                                 pull_column(key)));
+                    values.push_back(st.store.at(loc[pull_vertex(key)], pull_column(key)));
                 }
                 ops += static_cast<double>(keys.size());
                 cluster_->send(p, dest, MessageTag::ShrinkViewReply,
@@ -461,32 +495,38 @@ ShrinkReport AnytimeEngine::apply_deletion(const ShrinkBatch& batch) {
             }
             c.to_answer.clear();
             // Ship the raises: one block per invalidated row, columns
-            // ascending (map order per row; per-column at most one raise),
-            // replicated to every rank sharing a cut edge with the row.
-            std::vector<std::vector<BoundaryBlock>> per_dest(num_ranks);
+            // ascending (per column at most one raise), encoded once and
+            // appended to the payload of every rank sharing a cut edge with
+            // the row.
+            std::vector<std::vector<std::byte>> raise_payloads(num_ranks);
             for (auto& [l, entries] : raised) {
-                std::sort(entries.begin(), entries.end(),
-                          [](const DvEntry& a, const DvEntry& b) {
-                              return a.column < b.column;
-                          });
                 const auto destinations = st.sg.neighbor_ranks(l);
                 if (destinations.empty()) {
                     continue;
                 }
-                BoundaryBlock block;
-                block.vertex = st.sg.global_id(l);
-                block.entries = std::move(entries);
-                ops += static_cast<double>(block.entries.size());
+                std::sort(entries.begin(), entries.end(),
+                          [](const DvEntry& a, const DvEntry& b) {
+                              return a.column < b.column;
+                          });
+                raise_cols.clear();
+                raise_dists.clear();
+                for (const DvEntry& e : entries) {
+                    raise_cols.push_back(e.column);
+                    raise_dists.push_back(e.distance);
+                }
+                block.clear();
+                encode_boundary_block(block, st.sg.global_id(l), raise_cols, raise_dists);
+                ops += static_cast<double>(entries.size());
                 for (const RankId dest : destinations) {
-                    per_dest[dest].push_back(block);
+                    raise_payloads[dest].insert(raise_payloads[dest].end(),
+                                                block.view().begin(), block.view().end());
                 }
             }
             for (RankId dest = 0; dest < num_ranks; ++dest) {
-                if (per_dest[dest].empty()) {
-                    continue;
+                if (!raise_payloads[dest].empty()) {
+                    cluster_->send(p, dest, MessageTag::ShrinkRaise,
+                                   std::move(raise_payloads[dest]));
                 }
-                cluster_->send(p, dest, MessageTag::ShrinkRaise,
-                               encode_boundary_blocks(per_dest[dest]));
             }
             // Ship the pulls, one sorted request per owner; the reply comes
             // back in the same order, matched through the FIFO.
@@ -535,20 +575,22 @@ ShrinkReport AnytimeEngine::apply_deletion(const ShrinkBatch& batch) {
                     continue;
                 }
                 AA_ASSERT(m.tag == MessageTag::ShrinkRaise);
-                for (const BoundaryBlock& block : decode_boundary_blocks(m.bytes())) {
-                    for (const DvEntry& e : block.entries) {
-                        AA_ASSERT(e.column < n);
-                        c.cache.slot(pull_key(block.vertex, e.column)) = kInfinity;
-                        for (const auto& [ly, w] :
-                             st.sg.external_neighbors(block.vertex)) {
+                for (const BoundaryBlockSoaView& raise :
+                     decode_boundary_block_soa_views(m.bytes(), arena)) {
+                    const auto dependants = st.sg.external_neighbors(raise.vertex);
+                    for (std::size_t i = 0; i < raise.cols.size(); ++i) {
+                        const VertexId col = raise.cols[i];
+                        AA_ASSERT(col < n);
+                        c.cache.slot(pull_key(raise.vertex, col)) = kInfinity;
+                        for (const auto& [ly, w] : dependants) {
                             ops += 1;
-                            const Weight dy = st.store.at(ly, e.column);
+                            const Weight dy = st.store.at(ly, col);
                             if (dy < kInfinity) {
                                 // The surviving endpoint owes the
                                 // invalidating rank a resend.
-                                st.store.mark_for_send(ly, e.column);
-                                if (dy >= w + e.distance - kSuspectSlack) {
-                                    c.queue.push_back({ly, e.column});
+                                st.store.mark_for_send(ly, col);
+                                if (dy >= w + raise.dists[i] - kSuspectSlack) {
+                                    c.queue.push_back({ly, col});
                                 }
                             }
                         }
@@ -566,16 +608,18 @@ ShrinkReport AnytimeEngine::apply_deletion(const ShrinkBatch& batch) {
 
     // ---- 5. Deferred weight decreases: monotone, so the growth-path
     // broadcast is sound now that no stale-low entry survives.
+    std::vector<DirectedEdgeUpdate> lowered;
     for (const Edge& e : decreases) {
         graph_.set_edge_weight(e.u, e.v, e.weight);
         ranks_[ownership_.owner(e.u)].sg.update_edge_weight(e.u, e.v, e.weight);
         if (ownership_.owner(e.v) != ownership_.owner(e.u)) {
             ranks_[ownership_.owner(e.v)].sg.update_edge_weight(e.u, e.v, e.weight);
         }
-        dynamic_ops += broadcast_edge_update(e.u, e.v, e.weight);
-        dynamic_ops += broadcast_edge_update(e.v, e.u, e.weight);
+        lowered.push_back({e.u, e.v, e.weight});
+        lowered.push_back({e.v, e.u, e.weight});
         ++rep.weight_decreases;
     }
+    dynamic_ops += broadcast_edge_updates(lowered);
 
     // ---- 6. Local re-settlement to fixpoint (edge addition's step 3); the
     // cross-rank part rides the send worklists of the caller's next RC steps.

@@ -518,9 +518,13 @@ private:
     void refresh_weight_extremes();
     /// Returns the total ops charged (for the DD telemetry span).
     double charge_partition_cost(std::size_t vertices, std::size_t edges);
-    /// Broadcast row(from) and apply the new/changed edge {from, to, w}
-    /// everywhere it can bind immediately. Returns the ops charged.
-    double broadcast_edge_update(VertexId from, VertexId to, Weight w);
+    /// Apply a batch of new/lowered edges everywhere they can bind
+    /// immediately: one tree broadcast per root rank owning some `from`,
+    /// carrying its updates and each distinct `from` row once (a snapshot
+    /// taken before any update applies; see core/edge_add.cpp). The edges
+    /// must already be in the graph and the rank subgraphs. Returns the ops
+    /// charged.
+    double broadcast_edge_updates(std::span<const DirectedEdgeUpdate> updates);
 
     DynamicGraph graph_;  // ground-truth mirror of the distributed graph
     EngineConfig config_;

@@ -84,41 +84,6 @@ void write_rle_columns(Serializer& out, std::span<const VertexId> cols,
     AA_ASSERT(runs == num_runs);
 }
 
-/// Encode one block. `cols` must be strictly ascending (asserted); the
-/// encoder deterministically picks the smaller column encoding (tie goes to
-/// delta-varint) so identical inputs always produce identical bytes. The
-/// trailing pad keeps the block size a multiple of 8 — every block in a
-/// concatenated payload therefore starts 8-aligned and its f64 run can be
-/// read in place.
-void encode_block(Serializer& out, VertexId vertex, std::span<const VertexId> cols,
-                  std::span<const Weight> dists) {
-    AA_ASSERT(cols.size() == dists.size());
-    out.write(vertex);
-    out.write_varint(cols.size());
-    if (cols.empty()) {
-        out.write(kColDeltaVarint);
-    } else {
-        for (std::size_t i = 1; i < cols.size(); ++i) {
-            AA_ASSERT_MSG(cols[i] > cols[i - 1], "boundary block columns not ascending");
-        }
-        const std::size_t delta_bytes = delta_columns_size(cols);
-        // Probe the RLE size only when it can win: it needs at most one
-        // varint pair per run, so with r runs it beats n deltas only if the
-        // run structure is coarse. Computing both sizes is O(n) either way;
-        // keep it simple and exact.
-        const RleSize rle = rle_columns_size(cols);
-        if (rle.bytes < delta_bytes) {
-            out.write(kColRunLength);
-            write_rle_columns(out, cols, rle.runs);
-        } else {
-            out.write(kColDeltaVarint);
-            write_delta_columns(out, cols);
-        }
-    }
-    out.pad_to(sizeof(Weight));
-    out.write_bytes(std::as_bytes(dists));
-}
-
 /// Decode the column section of one block into `out` (appending exactly
 /// `count` strictly ascending columns) and advance `cursor` past it. All
 /// structural failure modes assert with greppable messages (see rc.hpp).
@@ -169,6 +134,44 @@ void decode_columns(std::span<const std::byte> payload, std::size_t& cursor,
 
 }  // namespace
 
+/// `cols` must be strictly ascending (asserted); the encoder
+/// deterministically picks the smaller column encoding (tie goes to
+/// delta-varint) so identical inputs always produce identical bytes. The
+/// trailing pad keeps the block size a multiple of 8 — every block in a
+/// concatenated payload therefore starts 8-aligned and its f64 run can be
+/// read in place.
+void encode_boundary_block(Serializer& out, VertexId vertex,
+                           std::span<const VertexId> cols,
+                           std::span<const Weight> dists) {
+    AA_ASSERT(cols.size() == dists.size());
+    AA_ASSERT_MSG((out.size() & (sizeof(Weight) - 1)) == 0,
+                  "boundary block must start 8-aligned");
+    out.write(vertex);
+    out.write_varint(cols.size());
+    if (cols.empty()) {
+        out.write(kColDeltaVarint);
+    } else {
+        for (std::size_t i = 1; i < cols.size(); ++i) {
+            AA_ASSERT_MSG(cols[i] > cols[i - 1], "boundary block columns not ascending");
+        }
+        const std::size_t delta_bytes = delta_columns_size(cols);
+        // Probe the RLE size only when it can win: it needs at most one
+        // varint pair per run, so with r runs it beats n deltas only if the
+        // run structure is coarse. Computing both sizes is O(n) either way;
+        // keep it simple and exact.
+        const RleSize rle = rle_columns_size(cols);
+        if (rle.bytes < delta_bytes) {
+            out.write(kColRunLength);
+            write_rle_columns(out, cols, rle.runs);
+        } else {
+            out.write(kColDeltaVarint);
+            write_delta_columns(out, cols);
+        }
+    }
+    out.pad_to(sizeof(Weight));
+    out.write_bytes(std::as_bytes(dists));
+}
+
 std::vector<std::byte> encode_boundary_blocks(const std::vector<BoundaryBlock>& blocks) {
     Serializer out;
     std::vector<VertexId> cols;
@@ -180,7 +183,7 @@ std::vector<std::byte> encode_boundary_blocks(const std::vector<BoundaryBlock>& 
             cols.push_back(entry.column);
             dists.push_back(entry.distance);
         }
-        encode_block(out, block.vertex, cols, dists);
+        encode_boundary_block(out, block.vertex, cols, dists);
     }
     return out.take();
 }
@@ -261,6 +264,90 @@ std::vector<BoundaryBlockSoaView> decode_boundary_block_soa_views(
     return views;
 }
 
+std::size_t encode_row_block(Serializer& out, VertexId vertex,
+                             std::span<const Weight> row) {
+    std::vector<VertexId> cols;
+    std::vector<Weight> dists;
+    for (std::size_t c = 0; c < row.size(); ++c) {
+        if (row[c] < kInfinity) {
+            cols.push_back(static_cast<VertexId>(c));
+            dists.push_back(row[c]);
+        }
+    }
+    encode_boundary_block(out, vertex, cols, dists);
+    return cols.size();
+}
+
+void encode_edge_update_header(Serializer& out,
+                               std::span<const DirectedEdgeUpdate> updates) {
+    AA_ASSERT(out.size() == 0);
+    out.write(static_cast<std::uint32_t>(updates.size()));
+    out.write(std::uint32_t{0});
+    for (const DirectedEdgeUpdate& u : updates) {
+        out.write(u.from);
+        out.write(u.to);
+        out.write(u.weight);
+    }
+}
+
+EdgeUpdatePayload decode_edge_update_payload(std::span<const std::byte> payload,
+                                             const ShardOwnership& ownership,
+                                             RankId root,
+                                             std::vector<VertexId>& column_arena) {
+    constexpr std::size_t kHeaderBytes = 8;
+    constexpr std::size_t kRecordBytes = 2 * sizeof(VertexId) + sizeof(Weight);
+    const std::size_t n = ownership.num_vertices();
+    AA_ASSERT_MSG(payload.size() >= kHeaderBytes, "edge update header truncated");
+    std::uint32_t count;
+    std::uint32_t reserved;
+    std::memcpy(&count, payload.data(), sizeof(count));
+    std::memcpy(&reserved, payload.data() + sizeof(count), sizeof(reserved));
+    AA_ASSERT_MSG(reserved == 0, "edge update header corrupt");
+    // Divide instead of multiplying, so a hostile count cannot wrap.
+    AA_ASSERT_MSG(count <= (payload.size() - kHeaderBytes) / kRecordBytes,
+                  "edge update list truncated");
+
+    EdgeUpdatePayload out;
+    out.updates.resize(count);
+    std::size_t cursor = kHeaderBytes;
+    for (DirectedEdgeUpdate& u : out.updates) {
+        std::memcpy(&u.from, payload.data() + cursor, sizeof(VertexId));
+        std::memcpy(&u.to, payload.data() + cursor + sizeof(VertexId), sizeof(VertexId));
+        std::memcpy(&u.weight, payload.data() + cursor + 2 * sizeof(VertexId),
+                    sizeof(Weight));
+        cursor += kRecordBytes;
+        AA_ASSERT_MSG(u.from < n && u.to < n, "edge update endpoint out of range");
+        AA_ASSERT_MSG(u.from != u.to, "edge update is a self-loop");
+        AA_ASSERT_MSG(u.weight > 0 && u.weight < kInfinity, "edge update weight invalid");
+    }
+
+    out.rows = decode_boundary_block_soa_views(payload.subspan(cursor), column_arena);
+    std::vector<std::uint8_t> read(out.rows.size(), 0);
+    for (std::size_t i = 0; i < out.rows.size(); ++i) {
+        const BoundaryBlockSoaView& row = out.rows[i];
+        AA_ASSERT_MSG(i == 0 || row.vertex > out.rows[i - 1].vertex,
+                      "edge update rows not ascending");
+        AA_ASSERT_MSG(row.vertex < n && ownership.owned_by(row.vertex, root),
+                      "edge update row for a vertex the root does not own");
+        AA_ASSERT_MSG(row.cols.empty() || row.cols.back() < n,
+                      "edge update row column out of range");
+    }
+    out.row_of.reserve(count);
+    for (const DirectedEdgeUpdate& u : out.updates) {
+        const auto it = std::lower_bound(
+            out.rows.begin(), out.rows.end(), u.from,
+            [](const BoundaryBlockSoaView& row, VertexId v) { return row.vertex < v; });
+        AA_ASSERT_MSG(it != out.rows.end() && it->vertex == u.from,
+                      "edge update row missing");
+        const auto index = static_cast<std::size_t>(it - out.rows.begin());
+        read[index] = 1;
+        out.row_of.push_back(static_cast<std::uint32_t>(index));
+    }
+    AA_ASSERT_MSG(std::find(read.begin(), read.end(), 0) == read.end(),
+                  "edge update row without an update");
+    return out;
+}
+
 double rc_post_boundary_updates(const LocalSubgraph& sg, DistanceStore& store,
                                 Cluster& cluster, RcPostProfile* profile,
                                 std::span<const LocalId> row_order) {
@@ -320,7 +407,7 @@ double rc_post_boundary_updates(const LocalSubgraph& sg, DistanceStore& store,
         for (const VertexId col : sorted_cols) {
             dists.push_back(row[col]);
         }
-        encode_block(encoder, sg.global_id(l), sorted_cols, dists);
+        encode_boundary_block(encoder, sg.global_id(l), sorted_cols, dists);
         const auto block_bytes = encoder.view();
         // Serialization cost is charged once per block, not once per
         // destination: the encoded bytes are shared (see rc.hpp).

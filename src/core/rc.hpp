@@ -47,7 +47,11 @@
 //
 // Wire format. The boundary-DV payload is a concatenation of struct-of-arrays
 // blocks (see encode_boundary_blocks): delta or run-length varint columns,
-// then an 8-aligned f64 distance run that receivers view in place. Ops are
+// then an 8-aligned f64 distance run that receivers view in place. The same
+// block codec carries every DV row the engine ships outside the RC exchange
+// too — the edge-update broadcasts (encode_edge_update_header below), the
+// deletion path's endpoint rows and raises, and migrated shard rows — so a
+// smaller value encoding in encode_boundary_block shrinks all of them. Ops are
 // charged per drained column and per serialized entry per block, never per
 // byte; the byte count goes to the LogP model, which prices exchange time
 // (and therefore sim_seconds) from it. The post kernel canonicalizes each
@@ -63,6 +67,8 @@
 #include "runtime/thread_pool.hpp"
 
 namespace aa {
+
+class Serializer;
 
 /// Optional kernel-level telemetry, filled when the caller passes a profile
 /// (the engine does so only while its MetricsRegistry is enabled). Counters
@@ -223,6 +229,18 @@ struct BoundaryBlock {
 };
 std::vector<std::byte> encode_boundary_blocks(const std::vector<BoundaryBlock>& blocks);
 
+/// Append one block in the layout above to `out`, whose size must be a
+/// multiple of 8 (true after any whole number of blocks). A block encoded
+/// once can be copied byte for byte into several payloads.
+void encode_boundary_block(Serializer& out, VertexId vertex,
+                           std::span<const VertexId> cols,
+                           std::span<const Weight> dists);
+
+/// Append the finite entries of a full DV row (`row[c]` for every column c)
+/// as one block. Returns the entry count.
+std::size_t encode_row_block(Serializer& out, VertexId vertex,
+                             std::span<const Weight> row);
+
 /// Decode a boundary-update payload. The payload is validated structurally
 /// before anything proportional to a declared count is allocated; malformed
 /// payloads (truncated headers or varints, overlong varints, unknown column
@@ -247,5 +265,45 @@ struct BoundaryBlockSoaView {
 };
 std::vector<BoundaryBlockSoaView> decode_boundary_block_soa_views(
     std::span<const std::byte> payload, std::vector<VertexId>& column_arena);
+
+/// One directed edge update: the broadcast carries row(from), and `to` is the
+/// other endpoint of the new or lowered edge {from, to} of weight `weight`.
+struct DirectedEdgeUpdate {
+    VertexId from;
+    VertexId to;
+    Weight weight;
+};
+
+/// Edge-update broadcast payload, one per root rank (the owner of the
+/// updates' `from` vertices, see AnytimeEngine::broadcast_edge_updates):
+///   [u32 update count][u32 0]
+///   count x [u32 from][u32 to][f64 weight]
+///   one boundary block per distinct `from`, vertices strictly ascending.
+/// The 8- and 16-byte records keep the block section 8-aligned, so receivers
+/// view the row distances in place. This writes the first two parts; the
+/// caller appends the row blocks with encode_row_block.
+void encode_edge_update_header(Serializer& out,
+                               std::span<const DirectedEdgeUpdate> updates);
+
+/// A decoded edge-update payload. The row views point into the payload and
+/// the column arena (see decode_boundary_block_soa_views); `row_of[i]`
+/// indexes the row of updates[i].from.
+struct EdgeUpdatePayload {
+    std::vector<DirectedEdgeUpdate> updates;
+    std::vector<BoundaryBlockSoaView> rows;
+    std::vector<std::uint32_t> row_of;
+};
+
+/// Decode the payload broadcast by `root`. Besides the block decoder's
+/// checks, every structural fault is an AA_ASSERT: a truncated header or
+/// update list (an oversized count included), an endpoint outside the vertex
+/// space, a self-loop, a non-positive or non-finite weight, a row column
+/// outside the vertex space, rows out of ascending order, a row for a vertex
+/// `root` does not own, a row no update reads, and an update whose `from`
+/// row is missing.
+EdgeUpdatePayload decode_edge_update_payload(std::span<const std::byte> payload,
+                                             const ShardOwnership& ownership,
+                                             RankId root,
+                                             std::vector<VertexId>& column_arena);
 
 }  // namespace aa

@@ -268,23 +268,26 @@ void AnytimeEngine::repartition_add(const GrowthBatch& batch) {
     close_stage(rebuild_span);
 
     // ---- 5. Seed the batch through the anywhere edge broadcasts (the same
-    //          primitive as anywhere_add): each batch edge folds the lower
-    //          endpoint's row through the cut edges and bridges the endpoint
-    //          columns of every local row. A local SSSP from only the new
-    //          vertices is NOT sound here: its paths route through old local
-    //          vertices whose rows never learn the new columns, leaving
-    //          estimates that no owner row witnesses — and the fully-dynamic
-    //          deletion cascade (edge_delete.cpp) finds stale entries by
-    //          walking exactly those owner-row witnesses. The broadcasts
-    //          preserve the invariant; through-partition shortcuts the SSSP
-    //          would have found arrive with the next RC exchanges. ----
+    //          primitive as anywhere_add): the lower endpoint's row of every
+    //          batch edge is folded through the cut edges, and every local
+    //          row bridges each edge's endpoint columns. A local SSSP from
+    //          only the new vertices is NOT sound here: its paths route
+    //          through old local vertices whose rows never learn the new
+    //          columns, leaving estimates that no owner row witnesses — and
+    //          the fully-dynamic deletion cascade (edge_delete.cpp) finds
+    //          stale entries by walking exactly those owner-row witnesses.
+    //          The broadcasts preserve the invariant; through-partition
+    //          shortcuts the SSSP would have found arrive with the next RC
+    //          exchanges. ----
     const auto seed_span = open_stage("repartition.seed");
     const double ops_before_seed = dynamic_ops;
+    std::vector<DirectedEdgeUpdate> updates;
     for (const Edge& e : batch.edges) {
         const VertexId lo = std::min(e.u, e.v);
         const VertexId hi = std::max(e.u, e.v);
-        dynamic_ops += broadcast_edge_update(lo, hi, graph_.edge_weight(lo, hi));
+        updates.push_back({lo, hi, graph_.edge_weight(lo, hi)});
     }
+    dynamic_ops += broadcast_edge_updates(updates);
     if (mx) {
         metrics_->span_add(seed_span, dynamic_ops - ops_before_seed);
     }

@@ -163,15 +163,20 @@ void Cluster::advance_rank_to(RankId r, double t) {
 
 double Cluster::broadcast(RankId from, MessageTag tag,
                           std::vector<std::byte> payload) {
+    return broadcast(from, tag, Message::share(std::move(payload)));
+}
+
+double Cluster::broadcast(RankId from, MessageTag tag,
+                          std::shared_ptr<const std::vector<std::byte>> shared) {
     AA_ASSERT(from < num_ranks_);
+    AA_ASSERT(shared != nullptr);
     if (num_ranks_ == 1) {
         return 0;
     }
-    const std::size_t bytes = payload.size() + 16;
+    const std::size_t bytes = shared->size() + 16;
     const double rounds = std::ceil(std::log2(static_cast<double>(num_ranks_)));
     const double duration = rounds * params_.message_time(bytes);
 
-    const auto shared = Message::share(std::move(payload));
     for (RankId to = 0; to < num_ranks_; ++to) {
         if (to == from) {
             continue;

@@ -134,10 +134,14 @@ public:
     /// cannot process a payload before it arrives). Rank-confined.
     void advance_rank_to(RankId r, double t);
 
-    /// Tree broadcast from `from` to all other ranks (the paper's new-vertex
-    /// DV row broadcast): delivers immediately, priced as ceil(log2 P)
+    /// Tree broadcast from `from` to all other ranks (the paper's DV row
+    /// broadcast for new edges): delivers immediately, priced as ceil(log2 P)
     /// pipelined rounds, and synchronizes clocks (it is a collective).
     double broadcast(RankId from, MessageTag tag, std::vector<std::byte> payload);
+    /// Same, for bytes the root keeps reading itself (the edge-update
+    /// broadcasts apply the root's own payload on the root).
+    double broadcast(RankId from, MessageTag tag,
+                     std::shared_ptr<const std::vector<std::byte>> payload);
 
     /// Drain rank r's inbox. Rank-confined: safe from concurrent callers for
     /// distinct r (delivery itself happens in the driver-side collectives).

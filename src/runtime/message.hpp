@@ -22,7 +22,7 @@ namespace aa {
 /// Application-level tag identifying what a payload contains.
 enum class MessageTag : std::uint32_t {
     BoundaryDvUpdate = 1,   // RC step: changed boundary distance-vector entries
-    NewVertexDvRow = 2,     // vertex addition: broadcast DV row of a new vertex
+    EdgeUpdateRows = 2,     // edge updates: one root's (from, to, w) list + its rows
     MigratedRows = 3,       // Repartition-S: DV rows moving to a new owner
     Control = 4,            // small control messages (counts, convergence votes)
     // Fully-dynamic shrink path (core/edge_delete.cpp):
@@ -63,8 +63,11 @@ public:
     template <typename T>
         requires std::is_trivially_copyable_v<T>
     void write(const T& value) {
-        const auto* raw = reinterpret_cast<const std::byte*>(&value);
-        buffer_.insert(buffer_.end(), raw, raw + sizeof(T));
+        // resize + memcpy rather than a range insert: gcc 12 reports a false
+        // -Wstringop-overflow for a small range insert into an empty vector.
+        const std::size_t at = buffer_.size();
+        buffer_.resize(at + sizeof(T));
+        std::memcpy(buffer_.data() + at, &value, sizeof(T));
     }
 
     template <typename T>

@@ -54,8 +54,14 @@ inline std::vector<LatticeCase> lattice_cases() {
 /// also readable in SCOPED_TRACE output. `threaded` names the Threaded
 /// backend (test_migrate's cases have always said "thr").
 inline std::string lattice_name(const RankBackend& c, const char* threaded = "threaded") {
-    return "r" + std::to_string(std::get<0>(c)) + "_" +
-           (std::get<1>(c) == BackendKind::Threaded ? threaded : "seq") + "_v2";
+    // Appends only: gcc 12 reports a false -Wrestrict for `"literal" +
+    // std::string` temporaries.
+    std::string name = "r";
+    name += std::to_string(std::get<0>(c));
+    name += '_';
+    name += std::get<1>(c) == BackendKind::Threaded ? threaded : "seq";
+    name += "_v2";
+    return name;
 }
 inline std::string lattice_name(const LatticeCase& c, const char* threaded = "threaded") {
     return lattice_name(RankBackend{std::get<0>(c), std::get<1>(c), std::get<2>(c)}, threaded) +

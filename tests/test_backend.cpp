@@ -184,12 +184,13 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(IaKernel::Dijkstra,
                                          IaKernel::DeltaStepping)),
     [](const ::testing::TestParamInfo<Param>& p) {
-        return "r" + std::to_string(std::get<0>(p.param)) +
-               (std::get<1>(p.param) == CommSchedule::SerializedAllToAll
-                    ? "_ser"
-                    : "_par") +
-               (std::get<2>(p.param) == IaKernel::DeltaStepping ? "_ds"
-                                                                : "_dij");
+        // Appends only: gcc 12 reports a false -Wrestrict for `"literal" +
+        // std::string` temporaries.
+        std::string name = "r";
+        name += std::to_string(std::get<0>(p.param));
+        name += std::get<1>(p.param) == CommSchedule::SerializedAllToAll ? "_ser" : "_par";
+        name += std::get<2>(p.param) == IaKernel::DeltaStepping ? "_ds" : "_dij";
+        return name;
     });
 
 // Repartition-S moves whole rows between ranks; its seed and re-mark loops

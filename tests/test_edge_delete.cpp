@@ -511,5 +511,126 @@ TEST(EngineDelete, MidSettleDeletionAfterCutEdgeAndRepartition) {
     expect_bit_identical(engine, mirror, config);
 }
 
+/// The `skip`-th vertex (ascending id) that is not `hub`, not adjacent to it
+/// in `g`, and on the hub's rank iff `same_rank`.
+VertexId pick_partner(const DynamicGraph& g, const std::vector<RankId>& owners,
+                      VertexId hub, bool same_rank, std::size_t skip) {
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+        if (v == hub || g.has_edge(hub, v) || (owners[v] == owners[hub]) != same_rank) {
+            continue;
+        }
+        if (skip-- == 0) {
+            return v;
+        }
+    }
+    ADD_FAILURE() << "no partner for hub " << hub;
+    return hub;
+}
+
+/// Every update path that goes through the batched edge-update broadcast,
+/// with batches whose edges share endpoints: a hub vertex with several new
+/// edges, a same-rank edge, cut edges, an edge between two of the hub's new
+/// partners, and a duplicate. Each update is followed by deletions, so the
+/// cascade runs over the broadcasts' writes, and most by a mid-settle RC
+/// step.
+void run_shared_endpoint_batches(const EngineConfig& config) {
+    Rng rng(77);
+    const DynamicGraph base = barabasi_albert(96, 2, rng);
+    AnytimeEngine engine(base, config);
+    engine.initialize();
+    engine.run_rc_steps(1);
+    DynamicGraph mirror = base;
+
+    VertexId hub = 0;
+    for (VertexId v = 1; v < mirror.num_vertices(); ++v) {
+        if (mirror.degree(v) > mirror.degree(hub)) {
+            hub = v;
+        }
+    }
+    const std::vector<RankId> owners = engine.owners();
+    const VertexId same = pick_partner(mirror, owners, hub, true, 0);
+    const VertexId cut1 = pick_partner(mirror, owners, hub, false, 0);
+    const VertexId cut2 = pick_partner(mirror, owners, hub, false, 1);
+    const VertexId old_neighbor = mirror.neighbors(hub)[0].to;
+
+    // add_edges: one batch, shared endpoints, one duplicate.
+    const std::vector<Edge> added{{hub, same, 1.0}, {hub, cut1, 1.0}, {hub, cut2, 1.0},
+                                  {same, cut1, 1.0}, {cut1, cut2, 1.0}, {cut1, hub, 1.0}};
+    engine.add_edges(added);
+    for (const Edge& e : added) {
+        mirror.add_edge(e.u, e.v, e.weight);
+    }
+    ShrinkBatch del1;
+    del1.deletions = {{hub, cut2, 0}, {hub, old_neighbor, 0}};
+    engine.apply_deletion(del1);
+    apply_to_mirror(mirror, del1);
+    // Checked here too: later updates re-send most rows, which would mask
+    // a row the broadcast failed to deliver.
+    engine.run_to_quiescence();
+    expect_bit_identical(engine, mirror, config);
+
+    // decrease_edge_weight, then a batch of deferred decreases around the
+    // hub riding one apply_deletion with a deletion.
+    EXPECT_TRUE(engine.decrease_edge_weight(hub, cut1, 0.5));
+    mirror.set_edge_weight(hub, cut1, 0.5);
+    ShrinkBatch del2;
+    del2.reweights = {{hub, same, 0.5}, {same, cut1, 0.25}, {cut1, cut2, 0.5}};
+    del2.deletions = {{hub, cut1, 0}};
+    engine.apply_deletion(del2);
+    apply_to_mirror(mirror, del2);
+    engine.run_rc_steps(1);
+
+    // anywhere_add under each strategy (Repartition-S seeds through the same
+    // broadcast), each followed by deletions.
+    RoundRobinPS round_robin;
+    CutEdgePS cut_edge(31);
+    RepartitionS repartition;
+    VertexAdditionStrategy* strategies[] = {&round_robin, &cut_edge, &repartition};
+    for (VertexAdditionStrategy* strategy : strategies) {
+        SCOPED_TRACE(std::string(strategy->name()));
+        const auto b = static_cast<VertexId>(mirror.num_vertices());
+        GrowthBatch growth;
+        growth.base_id = b;
+        growth.num_new = 3;
+        growth.community = {0, 0, 0};
+        growth.edges = {{hub, b, 1.0},     {hub, b + 1, 1.0}, {b, b + 1, 1.0},
+                        {b + 1, b + 2, 1.0}, {cut1, b + 2, 1.0}, {same, b, 1.0},
+                        {b + 2, b + 1, 1.0}};
+        engine.apply_addition(growth, *strategy);
+        mirror = apply_batch(mirror, growth);
+        ShrinkBatch del;
+        del.deletions = {{b + 1, b + 2, 0}, {hub, same, 0}};
+        del.reweights = {{hub, b + 1, 2.0}, {same, b, 0.5}};
+        engine.apply_deletion(del);
+        apply_to_mirror(mirror, del);
+        engine.run_rc_steps(1);
+    }
+
+    engine.run_to_quiescence();
+    expect_bit_identical(engine, mirror, config);
+}
+
+void run_shared_endpoint_lattice(BackendKind backend) {
+    for (const LatticeCase& c : lattice_cases()) {
+        const auto [ranks, case_backend, format, rc_async] = c;
+        if (case_backend != backend) {
+            continue;
+        }
+        EngineConfig config = shrink_config(ranks);
+        config.backend = backend;
+        config.rc_async = rc_async;
+        SCOPED_TRACE(lattice_name(c));
+        run_shared_endpoint_batches(config);
+    }
+}
+
+TEST(EngineDelete, SharedEndpointBatchesSequential) {
+    run_shared_endpoint_lattice(BackendKind::Sequential);
+}
+
+TEST(EngineDelete, SharedEndpointBatchesThreaded) {
+    run_shared_endpoint_lattice(BackendKind::Threaded);
+}
+
 }  // namespace
 }  // namespace aa

@@ -215,5 +215,47 @@ TEST(EdgeAdd, MixedWithVertexAdditions) {
     expect_exact(engine, expected);
 }
 
+TEST(EdgeAdd, OneBroadcastPerRootRank) {
+    // A batch costs one tree broadcast per rank owning an endpoint (every
+    // new edge ships both endpoint rows), however many edges share a rank.
+    constexpr std::uint32_t kRanks = 4;
+    Rng rng(5);
+    DynamicGraph g = barabasi_albert(60, 2, rng);
+    AnytimeEngine engine(g, small_config(kRanks));
+    engine.initialize();
+    engine.run_rc_steps(1);
+    const std::vector<RankId> owners = engine.owners();
+    std::vector<std::vector<VertexId>> by_rank(kRanks);
+    for (VertexId v = 0; v < owners.size(); ++v) {
+        by_rank[owners[v]].push_back(v);
+    }
+    // A new edge between ranks a and b (a == b: a same-rank edge).
+    const auto new_edge = [&](RankId a, RankId b) {
+        for (const VertexId u : by_rank[a]) {
+            for (const VertexId v : by_rank[b]) {
+                if (u != v && g.add_edge(u, v, 1.0)) {
+                    return Edge{u, v, 1.0};
+                }
+            }
+        }
+        ADD_FAILURE() << "no free vertex pair between ranks " << a << " and " << b;
+        return Edge{};
+    };
+    for (std::uint32_t roots = 1; roots <= kRanks; ++roots) {
+        // A ring over ranks 0..roots-1, plus a second edge per rank pair.
+        std::vector<Edge> edges;
+        for (RankId r = 0; r < roots; ++r) {
+            edges.push_back(new_edge(r, (r + 1) % roots));
+            edges.push_back(new_edge(r, (r + 1) % roots));
+        }
+        const std::size_t before = engine.cluster().stats().broadcasts;
+        engine.add_edges(edges);
+        EXPECT_EQ(engine.cluster().stats().broadcasts - before, roots)
+            << edges.size() << " edges over " << roots << " ranks";
+    }
+    engine.run_to_quiescence();
+    expect_exact(engine, g);
+}
+
 }  // namespace
 }  // namespace aa

@@ -240,13 +240,18 @@ TEST(CommSchedule, PipelinedSyncMatchesSerializedResults) {
 
 // ---- Golden timeline ------------------------------------------------------
 //
-// The absolute per-step timeline of run_scenario at P=4 (sequential backend),
-// recorded from the engine before the synchronous and event-driven RC steps
-// shared one phase-2/3 path. Synchronous steps must reproduce it bit
-// for bit. Event-driven steps must reproduce the work and traffic exactly;
-// their times may differ by reassociation only, because a rank now ingests
-// every message that has arrived by its clock in one call instead of one
-// call per message, which sums the same compute charges in a different order.
+// The absolute per-step timeline of run_scenario at P=4 (sequential backend).
+// Steps 0-1 (before the addition) were recorded from the engine before the
+// synchronous and event-driven RC steps shared one phase-2/3 path. Steps 2+
+// and the final sim_seconds were re-recorded when the per-edge DV-row
+// broadcasts became one block-encoded broadcast per root rank: the addition
+// is priced differently, and its rows are snapshots taken before any batch
+// edge applies, so the later RC steps carry a different share of the work.
+// Synchronous steps must reproduce the timeline bit for bit. Event-driven
+// steps must reproduce the work and traffic exactly; their times may differ
+// by reassociation only, because a rank ingests every message that has
+// arrived by its clock in one call instead of one call per message, which
+// sums the same compute charges in a different order.
 
 struct GoldenStep {
     double sim_seconds_after;
@@ -265,42 +270,42 @@ struct GoldenRun {
 
 const std::vector<GoldenRun>& golden_runs() {
     static const std::vector<GoldenRun> runs{
-        {false, CommSchedule::SerializedAllToAll, 0x1.293f6d06d59e3p-7,
+        {false, CommSchedule::SerializedAllToAll, 0x1.db48ba0d7d10ap-8,
          {{0x1.12f06cb8a5629p-10, 0x1.0c73c58e58e29p-10, 0x1.697p+14, 12, 38008},
           {0x1.1e546227eeb7cp-9, 0x1.26b119bdec345p-10, 0x1.44e4p+14, 12, 50520},
-          {0x1.825764d3c2628p-8, 0x1.27bfaef97498p-10, 0x1.01ap+14, 12, 51024},
-          {0x1.b9985d8634ffdp-8, 0x1.b85e4d34b3886p-11, 0x1.13bp+12, 12, 14992},
-          {0x1.eae0a16427b13p-8, 0x1.89dca6f942657p-11, 0x1.fc8p+9, 12, 3904},
-          {0x1.0d7dabc20d7e7p-7, 0x1.80b3999ff9b01p-11, 0x1.65p+8, 12, 1720},
-          {0x1.2352f785d2b2p-7, 0x1.5d48ec94239f3p-11, 0x1.b8p+6, 11, 776},
-          {0x1.293f6d06d59e3p-7, 0x1.7b1914bdc105p-13, 0x1.4p+3, 3, 96}}},
-        {false, CommSchedule::Pipelined, 0x1.1b79ac9ea99e7p-8,
+          {0x1.00e0fa0ac3221p-8, 0x1.24d8a7767c084p-10, 0x1.ffa8p+13, 12, 49640},
+          {0x1.3b2859d6ecc2p-8, 0x1.d039bebd95774p-11, 0x1.952p+12, 12, 20680},
+          {0x1.6ea8b14c96df8p-8, 0x1.9b2477f345764p-11, 0x1.31ap+11, 12, 8024},
+          {0x1.9fb2b6d665f83p-8, 0x1.87fb9dabde26p-11, 0x1.89p+9, 12, 3456},
+          {0x1.cf6fcf0b77383p-8, 0x1.7dd974a5ef3d6p-11, 0x1.2ap+7, 12, 1040},
+          {0x1.db48ba0d7d10ap-8, 0x1.7b1914bdc105p-13, 0x1.4p+3, 3, 96}}},
+        {false, CommSchedule::Pipelined, 0x1.391036652e6f7p-9,
          {{0x1.41ff9ad83b47p-12, 0x1.280cfe2f0946cp-12, 0x1.697p+14, 12, 38008},
           {0x1.3ef936e8d2c4ap-11, 0x1.2fd5db943aep-12, 0x1.44e4p+14, 12, 50520},
-          {0x1.c89ef8fa02c19p-9, 0x1.3330d9e79275ep-12, 0x1.01ap+14, 12, 51024},
-          {0x1.e57a6227ffe63p-9, 0x1.c710b1644cc1fp-13, 0x1.13bp+12, 12, 14992},
-          {0x1.fed6e5c7c34bbp-9, 0x1.94325a22e9c28p-13, 0x1.fc8p+9, 12, 3904},
-          {0x1.0b906f479fe64p-8, 0x1.84172ef945596p-13, 0x1.65p+8, 12, 1720},
-          {0x1.17869cb5ed20dp-8, 0x1.7e966f28e8e8ap-13, 0x1.b8p+6, 11, 776},
-          {0x1.1b79ac9ea99e7p-8, 0x1.f976c65256b16p-15, 0x1.4p+3, 3, 96}}},
-        {true, CommSchedule::SerializedAllToAll, 0x1.28dad8b2a03dp-7,
+          {0x1.8e024aa0666b5p-10, 0x1.320ccb1d27e1bp-12, 0x1.ffa8p+13, 12, 49640},
+          {0x1.cb331c6935407p-10, 0x1.e1818fb798882p-13, 0x1.952p+12, 12, 20680},
+          {0x1.001c68bc5d6f2p-9, 0x1.a4b49993ff14cp-13, 0x1.31ap+11, 12, 8024},
+          {0x1.192ff9d79217bp-9, 0x1.8fe6d728e00cep-13, 0x1.89p+9, 12, 3456},
+          {0x1.312a1693b5741p-9, 0x1.7f6497b7cabaap-13, 0x1.2ap+7, 12, 1040},
+          {0x1.391036652e6f7p-9, 0x1.f976c65256b16p-15, 0x1.4p+3, 3, 96}}},
+        {true, CommSchedule::SerializedAllToAll, 0x1.da74dd34a729cp-8,
          {{0x1.11ec0ad42ed6p-10, 0x1.0cb703c8f38a9p-10, 0x1.697p+14, 12, 38008},
           {0x1.1d6647fae93d5p-9, 0x1.26e64032c26c3p-10, 0x1.44e4p+14, 12, 50520},
-          {0x1.81aa26feb0debp-8, 0x1.27edb85d5cafcp-10, 0x1.01ap+14, 12, 51024},
-          {0x1.b8da727e94a27p-8, 0x1.b8bf34efdd048p-11, 0x1.13bp+12, 12, 14992},
-          {0x1.ea1aa02fec8d9p-8, 0x1.89e71f0883dd8p-11, 0x1.fc8p+9, 12, 3904},
-          {0x1.0d19690890abdp-7, 0x1.80b4231058f28p-11, 0x1.65p+8, 12, 1720},
-          {0x1.22ee677d204adp-7, 0x1.5d4c25365f27p-11, 0x1.b8p+6, 11, 776},
-          {0x1.28dad8b2a03dp-7, 0x1.7b1b3a7f3e08p-13, 0x1.4p+3, 3, 96}}},
-        {true, CommSchedule::Pipelined, 0x1.1abed7dd2cf82p-8,
+          {0x1.003524fcaba99p-8, 0x1.250cbb0a93be2p-10, 0x1.ffa8p+13, 12, 49640},
+          {0x1.3a66709b87efap-8, 0x1.d039bebd95778p-11, 0x1.952p+12, 12, 20680},
+          {0x1.6ddcd9724fd6dp-8, 0x1.9b61674580ep-11, 0x1.31ap+11, 12, 8024},
+          {0x1.9edfc1eb30cf6p-8, 0x1.87fb9dabde26p-11, 0x1.89p+9, 12, 3456},
+          {0x1.ce9bfac9a7457p-8, 0x1.7ddcf2005a658p-11, 0x1.2ap+7, 12, 1040},
+          {0x1.da74dd34a729cp-8, 0x1.7b1b3a7f3e08p-13, 0x1.4p+3, 3, 96}}},
+        {true, CommSchedule::Pipelined, 0x1.37786454888d9p-9,
          {{0x1.3f6df0206c384p-12, 0x1.2a59f0b737ba3p-12, 0x1.697p+14, 12, 38008},
           {0x1.3bb9108815eb7p-11, 0x1.30c7731bab823p-12, 0x1.44e4p+14, 12, 50520},
-          {0x1.c75c61586e905p-9, 0x1.343a9a2fc18ep-12, 0x1.01ap+14, 12, 51024},
-          {0x1.e40d1c20d6f47p-9, 0x1.c8945050f2aep-13, 0x1.13bp+12, 12, 14992},
-          {0x1.fd640dd2be156p-9, 0x1.94affad9fb5fp-13, 0x1.fc8p+9, 12, 3904},
-          {0x1.0ad5d6a74cec7p-8, 0x1.84466d9a03c3p-13, 0x1.65p+8, 12, 1720},
-          {0x1.16cbc7f4707a8p-8, 0x1.7ea351b1d706p-13, 0x1.b8p+6, 11, 776},
-          {0x1.1abed7dd2cf82p-8, 0x1.f97f5d584acp-15, 0x1.4p+3, 3, 96}}},
+          {0x1.8b71f781857f9p-10, 0x1.331b6058b0458p-12, 0x1.ffa8p+13, 12, 49640},
+          {0x1.c839b19d7e372p-10, 0x1.e1f028243f02p-13, 0x1.952p+12, 12, 20680},
+          {0x1.fd17ac317afb3p-10, 0x1.a5a856dcecbcp-13, 0x1.31ap+11, 12, 8024},
+          {0x1.1798f5ef7b17ap-9, 0x1.906d0ee5e5bcp-13, 0x1.89p+9, 12, 3456},
+          {0x1.2f9244830f923p-9, 0x1.7f728d21775bp-13, 0x1.2ap+7, 12, 1040},
+          {0x1.37786454888d9p-9, 0x1.f97f5d584ac4p-15, 0x1.4p+3, 3, 96}}},
     };
     return runs;
 }

@@ -489,9 +489,12 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(BackendKind::Sequential, BackendKind::Threaded),
                        ::testing::Bool()),
     [](const ::testing::TestParamInfo<SimdLatticeCase>& p) {
-        return "r" + std::to_string(std::get<0>(p.param)) +
-               (std::get<1>(p.param) == BackendKind::Threaded ? "_threaded" : "_seq") +
-               (std::get<2>(p.param) ? "_planted" : "_ba");
+        // Appends only (gcc 12 -Wrestrict, see tests/lattice.hpp).
+        std::string name = "r";
+        name += std::to_string(std::get<0>(p.param));
+        name += std::get<1>(p.param) == BackendKind::Threaded ? "_threaded" : "_seq";
+        name += std::get<2>(p.param) ? "_planted" : "_ba";
+        return name;
     });
 
 }  // namespace

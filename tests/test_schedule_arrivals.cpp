@@ -16,10 +16,15 @@ namespace {
 
 // ---- schedule_arrivals ----------------------------------------------------
 
+// The name is held inline, not as a pointer: gtest prints the parameter's raw
+// bytes into each test's listed name, so a pointer (a load address) would
+// change the names on every build. Inline, the bytes (and the names) are the
+// same everywhere.
 struct ArrivalCase {
     CommSchedule schedule;
-    const char* name;
+    char name[12];
 };
+static_assert(sizeof(ArrivalCase) == 16, "the listed test names print 16 bytes");
 
 class ScheduleArrivals : public ::testing::TestWithParam<ArrivalCase> {};
 

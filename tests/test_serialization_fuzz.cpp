@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
 
 #include "common/rng.hpp"
@@ -197,6 +198,74 @@ TEST_P(SerializerFuzz, PullPayloadsRoundTrip) {
         w = rng.uniform01() < 0.2 ? kInfinity : rng.uniform(0.0, 1e6);
     }
     EXPECT_EQ(decode_pull_reply(encode_pull_reply(values), values.size()), values);
+}
+
+TEST_P(SerializerFuzz, EdgeUpdatePayloadsRoundTrip) {
+    // One root's edge-update broadcast: its update list, then one block per
+    // distinct `from` row in ascending order, rows anywhere from empty (but
+    // the diagonal) to dense.
+    Rng rng(GetParam());
+    constexpr std::uint32_t kRanks = 4;
+    const std::size_t n = kRanks + rng.uniform(3000);
+    const ShardOwnership ownership = round_robin_ownership(n, kRanks);
+    const auto root = static_cast<RankId>(rng.uniform(kRanks));
+    std::vector<DirectedEdgeUpdate> updates;
+    const std::size_t count = 1 + rng.uniform(40);
+    while (updates.size() < count) {
+        const std::size_t slot = rng.uniform((n - root + kRanks - 1) / kRanks);
+        const auto from = static_cast<VertexId>(root + slot * kRanks);
+        const auto to = static_cast<VertexId>(rng.uniform(n));
+        if (from != to) {
+            updates.push_back({from, to, rng.uniform(0.25, 8.0)});
+        }
+    }
+    std::vector<VertexId> froms;
+    for (const DirectedEdgeUpdate& u : updates) {
+        froms.push_back(u.from);
+    }
+    std::sort(froms.begin(), froms.end());
+    froms.erase(std::unique(froms.begin(), froms.end()), froms.end());
+    std::vector<std::vector<Weight>> rows;
+    Serializer out;
+    encode_edge_update_header(out, updates);
+    for (const VertexId v : froms) {
+        std::vector<Weight> row(n, kInfinity);
+        const double density = rng.uniform01();
+        for (Weight& w : row) {
+            if (rng.uniform01() < density) {
+                w = rng.uniform(0.0, 1e6);
+            }
+        }
+        row[v] = 0;
+        encode_row_block(out, v, row);
+        rows.push_back(std::move(row));
+    }
+    const auto payload = out.take();
+
+    std::vector<VertexId> arena;
+    const EdgeUpdatePayload got = decode_edge_update_payload(payload, ownership, root, arena);
+    ASSERT_EQ(got.updates.size(), updates.size());
+    ASSERT_EQ(got.row_of.size(), updates.size());
+    for (std::size_t i = 0; i < updates.size(); ++i) {
+        EXPECT_EQ(got.updates[i].from, updates[i].from);
+        EXPECT_EQ(got.updates[i].to, updates[i].to);
+        EXPECT_EQ(got.updates[i].weight, updates[i].weight);
+        EXPECT_EQ(got.rows[got.row_of[i]].vertex, updates[i].from);
+    }
+    ASSERT_EQ(got.rows.size(), froms.size());
+    for (std::size_t r = 0; r < froms.size(); ++r) {
+        EXPECT_EQ(got.rows[r].vertex, froms[r]);
+        std::size_t next = 0;
+        for (VertexId c = 0; c < n; ++c) {
+            if (rows[r][c] < kInfinity) {
+                ASSERT_LT(next, got.rows[r].cols.size());
+                EXPECT_EQ(got.rows[r].cols[next], c);
+                EXPECT_EQ(got.rows[r].dists[next], rows[r][c]);
+                ++next;
+            }
+        }
+        EXPECT_EQ(next, got.rows[r].cols.size());
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SerializerFuzz,
@@ -675,6 +744,114 @@ TEST(PullPayloadValidation, ReplyWithPartialValueDies) {
     const std::vector<std::byte> payload(sizeof(Weight) + 4);
     EXPECT_DEATH((void)decode_pull_reply(payload, 1),
                  "pull reply value count differs from the request");
+}
+
+// Hostile edge-update broadcast payloads: [u32 count][u32 0], count x
+// [u32 from][u32 to][f64 weight], then one boundary block per `from` row.
+// Root 0 of two round-robin ranks owns the even vertices of 8.
+
+constexpr std::size_t kEdgeUpdateVertices = 8;
+
+/// A payload with `updates` and a small row (diagonal plus one entry) for
+/// each vertex in `rows`, in the given order; `row_size` columns per row.
+std::vector<std::byte> edge_update_payload(std::span<const DirectedEdgeUpdate> updates,
+                                           std::span<const VertexId> rows,
+                                           std::size_t row_size = kEdgeUpdateVertices) {
+    Serializer out;
+    encode_edge_update_header(out, updates);
+    for (const VertexId v : rows) {
+        std::vector<Weight> row(row_size, kInfinity);
+        row[v] = 0;
+        row[row_size - 1] = 1;
+        encode_row_block(out, v, row);
+    }
+    return out.take();
+}
+
+EdgeUpdatePayload decode_edge_update_at_root0(std::span<const std::byte> payload) {
+    static std::vector<VertexId> arena;
+    return decode_edge_update_payload(
+        payload, round_robin_ownership(kEdgeUpdateVertices, 2), 0, arena);
+}
+
+TEST(EdgeUpdatePayloadValidation, WellFormedPayloadDecodes) {
+    const DirectedEdgeUpdate updates[] = {{0, 1, 1.0}, {2, 3, 0.5}, {0, 5, 2.0}};
+    const VertexId rows[] = {0, 2};
+    const auto payload = edge_update_payload(updates, rows);
+    const auto decoded = decode_edge_update_at_root0(payload);
+    ASSERT_EQ(decoded.rows.size(), 2u);
+    EXPECT_EQ(decoded.row_of, (std::vector<std::uint32_t>{0, 1, 0}));
+}
+
+TEST(EdgeUpdatePayloadValidation, TruncatedHeaderDies) {
+    const std::vector<std::byte> payload(4, std::byte{0});
+    EXPECT_DEATH((void)decode_edge_update_at_root0(payload), "edge update header truncated");
+}
+
+TEST(EdgeUpdatePayloadValidation, TruncatedUpdateListDies) {
+    const DirectedEdgeUpdate updates[] = {{0, 1, 1.0}, {2, 3, 1.0}};
+    auto payload = edge_update_payload(updates, {});
+    payload.resize(8 + 16 + 12);  // cut inside the second record
+    EXPECT_DEATH((void)decode_edge_update_at_root0(payload), "edge update list truncated");
+}
+
+TEST(EdgeUpdatePayloadValidation, OversizedCountDies) {
+    const DirectedEdgeUpdate updates[] = {{0, 1, 1.0}};
+    const VertexId rows[] = {0};
+    auto payload = edge_update_payload(updates, rows);
+    const std::uint32_t hostile = std::numeric_limits<std::uint32_t>::max();
+    std::memcpy(payload.data(), &hostile, sizeof(hostile));
+    EXPECT_DEATH((void)decode_edge_update_at_root0(payload), "edge update list truncated");
+}
+
+TEST(EdgeUpdatePayloadValidation, MissingFromRowDies) {
+    const DirectedEdgeUpdate updates[] = {{0, 1, 1.0}, {2, 3, 1.0}};
+    const VertexId rows[] = {0};
+    EXPECT_DEATH((void)decode_edge_update_at_root0(edge_update_payload(updates, rows)),
+                 "edge update row missing");
+}
+
+TEST(EdgeUpdatePayloadValidation, RowForUnownedVertexDies) {
+    const DirectedEdgeUpdate updates[] = {{0, 1, 1.0}};
+    const VertexId rows[] = {0, 3};  // 3 is rank 1's
+    EXPECT_DEATH((void)decode_edge_update_at_root0(edge_update_payload(updates, rows)),
+                 "row for a vertex the root does not own");
+}
+
+TEST(EdgeUpdatePayloadValidation, RowWithoutUpdateDies) {
+    const DirectedEdgeUpdate updates[] = {{0, 1, 1.0}};
+    const VertexId rows[] = {0, 2};
+    EXPECT_DEATH((void)decode_edge_update_at_root0(edge_update_payload(updates, rows)),
+                 "edge update row without an update");
+}
+
+TEST(EdgeUpdatePayloadValidation, RowsOutOfOrderDie) {
+    const DirectedEdgeUpdate updates[] = {{0, 1, 1.0}, {2, 1, 1.0}};
+    const VertexId rows[] = {2, 0};
+    EXPECT_DEATH((void)decode_edge_update_at_root0(edge_update_payload(updates, rows)),
+                 "edge update rows not ascending");
+}
+
+TEST(EdgeUpdatePayloadValidation, EndpointPastGraphEndDies) {
+    const DirectedEdgeUpdate updates[] = {{0, kEdgeUpdateVertices, 1.0}};
+    const VertexId rows[] = {0};
+    EXPECT_DEATH((void)decode_edge_update_at_root0(edge_update_payload(updates, rows)),
+                 "edge update endpoint out of range");
+}
+
+TEST(EdgeUpdatePayloadValidation, NonPositiveWeightDies) {
+    const DirectedEdgeUpdate updates[] = {{0, 1, 0.0}};
+    const VertexId rows[] = {0};
+    EXPECT_DEATH((void)decode_edge_update_at_root0(edge_update_payload(updates, rows)),
+                 "edge update weight invalid");
+}
+
+TEST(EdgeUpdatePayloadValidation, RowColumnPastGraphEndDies) {
+    const DirectedEdgeUpdate updates[] = {{0, 1, 1.0}};
+    const VertexId rows[] = {0};
+    EXPECT_DEATH((void)decode_edge_update_at_root0(
+                     edge_update_payload(updates, rows, 2 * kEdgeUpdateVertices)),
+                 "edge update row column out of range");
 }
 
 }  // namespace

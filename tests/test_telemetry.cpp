@@ -12,6 +12,12 @@
 namespace aa {
 namespace {
 
+MetricSpan named_span(const char* name) {
+    MetricSpan span;
+    span.name = name;
+    return span;
+}
+
 // ---- registry: disabled mode -----------------------------------------------
 
 TEST(MetricsRegistry, DisabledDoesNothingAndAllocatesNothing) {
@@ -34,7 +40,7 @@ TEST(MetricsRegistry, DisabledDoesNothingAndAllocatesNothing) {
     m.span_add(s, 1, 2, 3);
     m.span_attr(s, "k", "v");
     m.span_close(s, 1.0);
-    m.record_span(MetricSpan{.name = "x"});
+    m.record_span(named_span("x"));
 
     EXPECT_TRUE(m.spans().empty());
     EXPECT_TRUE(m.counters().empty());
@@ -141,7 +147,7 @@ TEST(MetricsRegistry, ClearDropsDataButKeepsEnablement) {
     MetricsRegistry m;
     m.enable();
     m.add(m.counter("c"), 1);
-    m.record_span(MetricSpan{.name = "s"});
+    m.record_span(named_span("s"));
     m.clear();
     EXPECT_TRUE(m.enabled());
     EXPECT_TRUE(m.spans().empty());
