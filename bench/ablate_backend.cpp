@@ -7,7 +7,7 @@
 //
 // Emits a JSON report (--out, default BENCH_backend.json) recorded in the
 // repository root; build with the `bench` preset (-O3) for quotable numbers.
-// The report records host_hardware_concurrency: on a single-core host the
+// The report records the host fingerprint: on a single-core host the
 // threaded backend cannot run ranks in parallel, so seq/threaded parity is
 // the expected outcome there (flagged via "single_core_parity").
 #include <chrono>
@@ -20,6 +20,7 @@
 #include "core/engine.hpp"
 #include "core/strategies.hpp"
 #include "graph/generators.hpp"
+#include "harness.hpp"
 #include "runtime/backend.hpp"
 
 namespace aa {
@@ -222,8 +223,7 @@ int main(int argc, char** argv) {
             std::to_string(g.num_vertices()) +
             ", \"edges\": " + std::to_string(g.num_edges()) + "},\n";
     json += "  \"ranks\": 8,\n  \"seed\": " + std::to_string(opt.seed) + ",\n";
-    json += "  \"host_hardware_concurrency\": " + std::to_string(hw_threads) +
-            ",\n";
+    json += "  \"host\": " + bench::host_fingerprint_json() + ",\n";
     json += std::string("  \"single_core_parity\": ") +
             (single_core_parity ? "true" : "false") + ",\n";
     json += "  \"note\": \"";

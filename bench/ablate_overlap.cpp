@@ -14,12 +14,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/engine.hpp"
 #include "graph/generators.hpp"
+#include "harness.hpp"
 
 namespace aa {
 namespace {
@@ -171,9 +171,7 @@ int main(int argc, char** argv) {
     json += "  \"threads\": " + std::to_string(opt.threads) +
             ",\n  \"steps\": " + std::to_string(opt.steps) +
             ",\n  \"seed\": " + std::to_string(opt.seed) + ",\n";
-    const unsigned hw_threads_raw = std::thread::hardware_concurrency();
-    const unsigned hw_threads = hw_threads_raw == 0 ? 1 : hw_threads_raw;
-    json += "  \"host_hardware_concurrency\": " + std::to_string(hw_threads) +
+    json += "  \"host\": " + bench::host_fingerprint_json() +
             ",\n  \"configs\": [\n";
 
     bool all_bars_met = true;

@@ -35,6 +35,7 @@
 #include "core/closeness.hpp"
 #include "core/engine.hpp"
 #include "graph/generators.hpp"
+#include "harness.hpp"
 #include "refine/planner.hpp"
 
 namespace aa {
@@ -277,6 +278,7 @@ int main(int argc, char** argv) {
             ", \"weights\": \"unit\"},\n";
     json += "  \"ranks\": " + std::to_string(config.num_ranks) +
             ",\n  \"seed\": " + std::to_string(opt.seed) + ",\n";
+    json += "  \"host\": " + bench::host_fingerprint_json() + ",\n";
     std::snprintf(buf, sizeof(buf),
                   "  \"budget_ops_per_rank_step\": %.0f,\n"
                   "  \"trace\": {\"distribution\": \"zipf\", \"s\": %.2f, "

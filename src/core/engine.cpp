@@ -92,36 +92,17 @@ void AnytimeEngine::fire_boundary_hook() {
     }
 }
 
-void AnytimeEngine::set_refine_focus(const std::vector<VertexId>& focus) {
-    refine_focus_mask_.assign(graph_.num_vertices(), 0);
-    refine_focus_any_ = false;
-    for (const VertexId v : focus) {
-        if (v < refine_focus_mask_.size()) {
-            refine_focus_mask_[v] = 1;
-            refine_focus_any_ = true;
-        }
-    }
-}
-
 std::vector<std::vector<LocalId>> AnytimeEngine::plan_refine_orders() {
     std::vector<std::vector<LocalId>> plans(ranks_.size());
     if (config_.refine_policy == RefinePolicy::Uniform) {
         return plans;  // contract: empty plans = the historical schedule
     }
     std::vector<double> heat;
-    const bool any_heat = demand_->snapshot(heat);
-    const bool use_focus = config_.refine_policy == RefinePolicy::TopKPruned &&
-                           refine_focus_any_;
-    if (!any_heat && !use_focus) {
+    if (!demand_->snapshot(heat)) {
         return plans;  // no demand signal: bit-identical to Uniform
     }
-    const std::span<const double> heat_span =
-        any_heat ? std::span<const double>(heat) : std::span<const double>{};
-    const std::span<const std::uint8_t> focus_span =
-        use_focus ? std::span<const std::uint8_t>(refine_focus_mask_)
-                  : std::span<const std::uint8_t>{};
     for (RankId r = 0; r < ranks_.size(); ++r) {
-        plans[r] = plan_rank_order(ranks_[r].sg, heat_span, focus_span);
+        plans[r] = plan_rank_order(ranks_[r].sg, heat);
     }
     return plans;
 }
@@ -142,9 +123,6 @@ void AnytimeEngine::note_structural_change() {
     wavefront_k_ = 0;
     refresh_weight_extremes();
     demand_->resize(graph_.num_vertices());
-    if (refine_focus_mask_.size() != graph_.num_vertices()) {
-        refine_focus_mask_.resize(graph_.num_vertices(), 0);
-    }
     // Structural changes move rows wholesale (add/swap/extract/replace) and
     // change n, which re-normalizes every closeness score under the
     // corrected variant — so the next take_changed_rows() must answer "all".
@@ -357,15 +335,11 @@ bool AnytimeEngine::rc_step() {
     }
 
     // Refine plans for this step: per-rank sweep orders from the query-heat
-    // and top-k focus signals (all empty under Uniform / no demand — the
-    // kernels then take their historical ascending sweeps, bit-identically).
+    // signal (all empty under Uniform / no demand — the kernels then take
+    // their historical ascending sweeps, bit-identically).
     // Planned once on the driver thread so both phases below order work
     // consistently.
     const std::vector<std::vector<LocalId>> refine_plans = plan_refine_orders();
-    // Per-rank propagate budgets (static split: the configured per-rank
-    // budget everywhere, bit-identically; demand split: the same total
-    // steered toward the query-hot ranks).
-    const std::vector<double> step_budgets = plan_step_budgets();
 
     // Phase 1: package & post boundary DV updates. Rank-confined throughout
     // (each closure serializes its own rows and posts from its own outbox).
@@ -496,7 +470,7 @@ bool AnytimeEngine::rc_step() {
         const double ops = rc_propagate_local(
             ranks_[r].sg, ranks_[r].store, kernel_pool(),
             kRcPropagateParallelGrain, mx ? &profile : nullptr, refine_plans[r],
-            step_budgets[r]);
+            config_.refine_budget_ops);
         cluster_->charge_compute(r, ops);
         phase3_ops[r] += ops;
         if (mx) {
@@ -555,20 +529,6 @@ bool AnytimeEngine::rc_step() {
     }
     fire_boundary_hook();
     return true;
-}
-
-std::vector<double> AnytimeEngine::plan_step_budgets() const {
-    const auto num_ranks = static_cast<std::uint32_t>(ranks_.size());
-    if (config_.refine_budget_split == RefineBudgetSplit::Static ||
-        config_.refine_budget_ops <= 0) {
-        return std::vector<double>(num_ranks, config_.refine_budget_ops);
-    }
-    std::vector<double> heat;
-    if (!demand_->snapshot(heat)) {
-        return std::vector<double>(num_ranks, config_.refine_budget_ops);
-    }
-    return plan_rank_budgets(config_.refine_budget_ops, ownership_, num_ranks,
-                             heat, config_.refine_budget_split);
 }
 
 std::vector<double> AnytimeEngine::shard_static_weights() const {

@@ -121,9 +121,9 @@ struct EngineConfig {
     /// How the RC kernels order per-rank work (see refine/planner.hpp).
     /// Uniform — the default — keeps the historical ascending sweeps and is
     /// bit-identical to the pre-refine engine by contract (schedule, ops,
-    /// dirty-append order, span sequence); QueryHeat / TopKPruned reorder
-    /// the post and propagate worklists toward query-hot rows whenever the
-    /// DemandTracker (or the top-k focus set) holds a positive signal.
+    /// dirty-append order, span sequence); QueryHeat reorders the post and
+    /// propagate worklists toward query-hot rows whenever the DemandTracker
+    /// holds a positive signal.
     /// Reordering never changes the converged state, only which rows become
     /// exact first.
     RefinePolicy refine_policy{RefinePolicy::Uniform};
@@ -134,12 +134,6 @@ struct EngineConfig {
     /// is spread over more (cheaper) steps, which is what gives a refine
     /// policy room to finish hot rows first. Applies under any policy.
     double refine_budget_ops{0};
-    /// How a positive refine_budget_ops is split across ranks (see
-    /// refine/planner.hpp). Static — the default — gives every rank the
-    /// configured per-rank budget, bit-identical to the pre-split engine;
-    /// DemandProportional steers the same total toward the ranks owning the
-    /// query-hot vertices.
-    RefineBudgetSplit refine_budget_split{RefineBudgetSplit::Static};
     /// Logical shards per rank in the vertex -> shard -> rank ownership
     /// indirection (see shard/ownership.hpp). Any granularity resolves
     /// ownership identically while no shard has been migrated — results,
@@ -363,8 +357,8 @@ public:
     /// decrease_edge_weight that changed a weight). Runs on the calling
     /// thread with the engine idle between phases; the hook must only
     /// observe the algorithmic state (query state, build snapshots) — never
-    /// mutate it. Refinement *hints* (demand().record, set_refine_focus) are
-    /// the one sanctioned exception: they steer the schedule, not the answer.
+    /// mutate it. Refinement *hints* (demand().record) are the one
+    /// sanctioned exception: they steer the schedule, not the answer.
     void set_boundary_hook(std::function<void(AnytimeEngine&)> hook);
 
     // ---- demand-driven refinement ------------------------------------------
@@ -387,11 +381,6 @@ public:
     void set_migrate_imbalance_threshold(double threshold) {
         config_.migrate_imbalance_threshold = threshold;
     }
-
-    /// Replace the top-k focus set (the serve layer's uncertain top-k
-    /// candidates). Only consulted under RefinePolicy::TopKPruned; focus
-    /// rows order ahead of plain heat. Out-of-range ids are ignored.
-    void set_refine_focus(const std::vector<VertexId>& focus);
 
     /// Completed RC steps since the last structural base case (-1 right
     /// after a checkpoint restore) — the k of the wavefront settledness
@@ -496,12 +485,8 @@ private:
     void fire_boundary_hook();
     /// Per-rank refine sweep orders for the starting RC step (empty vectors
     /// = the historical ascending order). Runs on the driver thread before
-    /// the post phase; deterministic given the heat/focus state.
+    /// the post phase; deterministic given the heat state.
     std::vector<std::vector<LocalId>> plan_refine_orders();
-    /// Per-rank propagate budgets for the starting RC step (see
-    /// plan_rank_budgets in refine/planner.hpp). Static split returns the
-    /// configured per-rank budget for every rank.
-    std::vector<double> plan_step_budgets() const;
     /// Static per-shard weight (vertices + incident edges) the migration
     /// planner scales measured rank load by.
     std::vector<double> shard_static_weights() const;
@@ -511,8 +496,7 @@ private:
     void drain_in_flight_updates();
     /// Every structural-update path calls this after its local re-settlement:
     /// resets the wavefront certificate to its k = 0 base case, recomputes
-    /// the live w_min/w_max, and grows demand/focus state to the new vertex
-    /// count.
+    /// the live w_min/w_max, and grows demand state to the new vertex count.
     void note_structural_change();
     /// Recompute w_min_/w_max_ from the live graph.
     void refresh_weight_extremes();
@@ -548,8 +532,6 @@ private:
     // unique_ptr because DemandTracker (SharedSlot member) is neither
     // copyable nor movable, and the engine keeps its defaulted moves.
     std::unique_ptr<DemandTracker> demand_;
-    std::vector<std::uint8_t> refine_focus_mask_;  // 0/1 per global vertex
-    bool refine_focus_any_{false};
     /// Wavefront certificate counter (see wavefront_steps()).
     std::int64_t wavefront_k_{-1};
     /// Conservative changed-rows answer (see take_changed_rows): true from

@@ -46,7 +46,7 @@ double ia_dijkstra_all(const LocalSubgraph& sg, DistanceStore& store,
 /// the tentative distances in width-`delta` ranges, settle a bucket with
 /// light-edge relaxations, then relax its heavy edges. For delta <= min edge
 /// weight it degenerates to Dijkstra; larger deltas trade extra relaxations
-/// for bucket-level parallelism — the knob `ablate_ia_kernel` sweeps.
+/// for bucket-level parallelism (DeltaSweep in tests/test_delta_stepping).
 /// delta <= 0 picks a heuristic (average edge weight).
 double ia_delta_stepping(const LocalSubgraph& sg, DistanceStore& store,
                          ThreadPool& pool, std::span<const LocalId> sources,

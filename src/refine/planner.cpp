@@ -6,12 +6,8 @@
 namespace aa {
 namespace {
 
-double vertex_signal(VertexId v, std::span<const double> values) {
-    return v < values.size() ? values[v] : 0.0;
-}
-
-double vertex_signal(VertexId v, std::span<const std::uint8_t> values) {
-    return v < values.size() ? static_cast<double>(values[v]) : 0.0;
+double vertex_heat(VertexId v, std::span<const double> heat) {
+    return v < heat.size() ? heat[v] : 0.0;
 }
 
 }  // namespace
@@ -22,8 +18,6 @@ std::string_view refine_policy_name(RefinePolicy policy) {
             return "uniform";
         case RefinePolicy::QueryHeat:
             return "heat";
-        case RefinePolicy::TopKPruned:
-            return "topk";
     }
     return "uniform";
 }
@@ -33,75 +27,20 @@ bool parse_refine_policy(std::string_view name, RefinePolicy& out) {
         out = RefinePolicy::Uniform;
     } else if (name == "heat") {
         out = RefinePolicy::QueryHeat;
-    } else if (name == "topk") {
-        out = RefinePolicy::TopKPruned;
     } else {
         return false;
     }
     return true;
-}
-
-std::string_view refine_budget_split_name(RefineBudgetSplit split) {
-    switch (split) {
-        case RefineBudgetSplit::Static:
-            return "static";
-        case RefineBudgetSplit::DemandProportional:
-            return "demand";
-    }
-    return "static";
-}
-
-bool parse_refine_budget_split(std::string_view name, RefineBudgetSplit& out) {
-    if (name == "static") {
-        out = RefineBudgetSplit::Static;
-    } else if (name == "demand") {
-        out = RefineBudgetSplit::DemandProportional;
-    } else {
-        return false;
-    }
-    return true;
-}
-
-std::vector<double> plan_rank_budgets(double per_rank_budget,
-                                      const ShardOwnership& ownership,
-                                      std::uint32_t num_ranks,
-                                      std::span<const double> heat,
-                                      RefineBudgetSplit split) {
-    std::vector<double> budgets(num_ranks, per_rank_budget);
-    if (split == RefineBudgetSplit::Static || per_rank_budget <= 0 ||
-        num_ranks == 0 || heat.empty()) {
-        return budgets;
-    }
-    std::vector<double> rank_heat(num_ranks, 0.0);
-    double total_heat = 0;
-    const std::size_t n = std::min(heat.size(), ownership.num_vertices());
-    for (VertexId v = 0; v < n; ++v) {
-        const RankId r = ownership.owner(v);
-        if (r < num_ranks) {
-            rank_heat[r] += heat[v];
-            total_heat += heat[v];
-        }
-    }
-    if (total_heat <= 0) {
-        return budgets;
-    }
-    const double total_budget = per_rank_budget * num_ranks;
-    for (RankId r = 0; r < num_ranks; ++r) {
-        budgets[r] = total_budget *
-                     (0.5 / num_ranks + 0.5 * rank_heat[r] / total_heat);
-    }
-    return budgets;
 }
 
 std::vector<LocalId> plan_rank_order(const LocalSubgraph& sg,
-                                     std::span<const double> heat,
-                                     std::span<const std::uint8_t> focus) {
+                                     std::span<const double> heat) {
     const std::size_t local = sg.num_local();
-    if (local == 0 || (heat.empty() && focus.empty())) {
+    if (local == 0 || heat.empty()) {
         return {};
     }
 
-    // Row priority = own signal + a decayed multi-hop smear. One hop is not
+    // Row priority = own heat + a decayed multi-hop smear. One hop is not
     // enough: a hot row's missing columns arrive along drain *chains* that
     // run several hops (and several ranks) away from it, so the rows between
     // the wave and a hot destination need priority too. Iterating a halved
@@ -109,35 +48,27 @@ std::vector<LocalId> plan_rank_order(const LocalSubgraph& sg,
     // its proximity to query mass. Cross-rank neighbors contribute their raw
     // (global) heat each round — their smeared values live on other ranks —
     // which is what carries the gradient across partition boundaries.
-    const auto smear = [&](auto&& signal) {
-        std::vector<double> base(local, 0.0);
-        for (LocalId l = 0; l < local; ++l) {
-            base[l] = vertex_signal(sg.global_id(l), signal);
-        }
-        std::vector<double> cur = base;
-        std::vector<double> next(local, 0.0);
-        constexpr int kSmearHops = 4;
-        constexpr double kSmearDecay = 0.5;
-        for (int hop = 0; hop < kSmearHops; ++hop) {
-            for (LocalId l = 0; l < local; ++l) {
-                double inflow = 0;
-                for (const Neighbor& nb : sg.neighbors(l)) {
-                    inflow += sg.owns(nb.to) ? cur[sg.local_id(nb.to)]
-                                             : vertex_signal(nb.to, signal);
-                }
-                next[l] = base[l] + kSmearDecay * inflow;
-            }
-            cur.swap(next);
-        }
-        return cur;
-    };
-    const std::vector<double> row_heat = smear(heat);
-    const std::vector<double> row_focus = smear(focus);
-    bool any = false;
+    std::vector<double> base(local, 0.0);
     for (LocalId l = 0; l < local; ++l) {
-        any = any || row_heat[l] > 0 || row_focus[l] > 0;
+        base[l] = vertex_heat(sg.global_id(l), heat);
     }
-    if (!any) {
+    std::vector<double> row_heat = base;
+    std::vector<double> next(local, 0.0);
+    constexpr int kSmearHops = 4;
+    constexpr double kSmearDecay = 0.5;
+    for (int hop = 0; hop < kSmearHops; ++hop) {
+        for (LocalId l = 0; l < local; ++l) {
+            double inflow = 0;
+            for (const Neighbor& nb : sg.neighbors(l)) {
+                inflow += sg.owns(nb.to) ? row_heat[sg.local_id(nb.to)]
+                                         : vertex_heat(nb.to, heat);
+            }
+            next[l] = base[l] + kSmearDecay * inflow;
+        }
+        row_heat.swap(next);
+    }
+    if (std::none_of(row_heat.begin(), row_heat.end(),
+                     [](double h) { return h > 0; })) {
         return {};
     }
 
@@ -145,9 +76,6 @@ std::vector<LocalId> plan_rank_order(const LocalSubgraph& sg,
     std::iota(order.begin(), order.end(), LocalId{0});
     std::stable_sort(order.begin(), order.end(),
                      [&](LocalId a, LocalId b) {
-                         if (row_focus[a] != row_focus[b]) {
-                             return row_focus[a] > row_focus[b];
-                         }
                          if (row_heat[a] != row_heat[b]) {
                              return row_heat[a] > row_heat[b];
                          }

@@ -10,11 +10,11 @@
 // what makes hot rows reach exactness earlier under a per-step budget.
 //
 // Ordering contract (the bit-identity discipline of PRs 4-6): when the
-// policy is Uniform, or no positive heat/focus signal exists, the planner
-// returns an *empty* plan and the kernels take their historical ascending
-// sweep — byte-identical schedule, ops, and dirty-append order to the
-// pre-refine engine. Plans themselves are deterministic: rows sort by
-// (focus, heat, LocalId), so equal-signal rows keep ascending order.
+// policy is Uniform, or no positive heat signal exists, the planner returns
+// an *empty* plan and the kernels take their historical ascending sweep —
+// byte-identical schedule, ops, and dirty-append order to the pre-refine
+// engine. Plans themselves are deterministic: rows sort by (heat, LocalId),
+// so equal-heat rows keep ascending order.
 #pragma once
 
 #include <cstdint>
@@ -35,59 +35,24 @@ enum class RefinePolicy : std::uint8_t {
     /// Rows hot in the DemandTracker (plus their smeared neighborhoods)
     /// sweep first.
     QueryHeat,
-    /// Like QueryHeat, but the serve layer's uncertain top-k candidates are
-    /// injected as focus rows ahead of plain heat.
-    TopKPruned,
 };
 
-/// Canonical lower-case name ("uniform" / "heat" / "topk").
+/// Canonical lower-case name ("uniform" / "heat").
 std::string_view refine_policy_name(RefinePolicy policy);
 
 /// Parse a canonical name; returns false on unknown values.
 bool parse_refine_policy(std::string_view name, RefinePolicy& out);
 
-/// How a positive EngineConfig::refine_budget_ops is split across ranks.
-enum class RefineBudgetSplit : std::uint8_t {
-    /// Every rank gets the configured per-rank budget — bit-identical to the
-    /// pre-split engine by contract.
-    Static,
-    /// The same *total* budget (per-rank budget x P), steered toward the
-    /// ranks owning the query-hot vertices through the shard map. Uniform
-    /// (or absent) heat reproduces the static split exactly.
-    DemandProportional,
-};
-
-/// Canonical lower-case name ("static" / "demand").
-std::string_view refine_budget_split_name(RefineBudgetSplit split);
-
-/// Parse a canonical name; returns false on unknown values.
-bool parse_refine_budget_split(std::string_view name, RefineBudgetSplit& out);
-
-/// Per-rank propagate budgets for one RC step. Static split, a non-positive
-/// per-rank budget (0 = unbounded), or an empty/zero heat snapshot all yield
-/// `per_rank_budget` for every rank (the bit-identity cases). Otherwise each
-/// rank receives half its static budget as a floor — a positive budget must
-/// stay positive, since 0 means "unbounded" to the kernels — plus its
-/// owned-heat share of the remaining half-total, so uniform per-rank heat
-/// also reproduces the static split bit for bit.
-std::vector<double> plan_rank_budgets(double per_rank_budget,
-                                      const ShardOwnership& ownership,
-                                      std::uint32_t num_ranks,
-                                      std::span<const double> heat,
-                                      RefineBudgetSplit split);
-
 /// Demand-priority sweep order for one rank, or empty when no positive
 /// signal exists (callers must then use the historical ascending order).
 ///
-/// `heat` is the global per-vertex heat snapshot (may be empty), and
-/// `focus` an optional 0/1 mask of top-k focus vertices (may be empty).
-/// A row's priority folds in a decayed multi-hop smear of its neighborhood —
-/// a hot row's missing columns arrive along drain chains several hops away,
-/// so rows between the wave and a hot destination inherit a proximity
-/// gradient (halved per hop, carried across rank boundaries by the global
-/// heat snapshot).
+/// `heat` is the global per-vertex heat snapshot (may be empty). A row's
+/// priority folds in a decayed multi-hop smear of its neighborhood — a hot
+/// row's missing columns arrive along drain chains several hops away, so
+/// rows between the wave and a hot destination inherit a proximity gradient
+/// (halved per hop, carried across rank boundaries by the global heat
+/// snapshot).
 std::vector<LocalId> plan_rank_order(const LocalSubgraph& sg,
-                                     std::span<const double> heat,
-                                     std::span<const std::uint8_t> focus);
+                                     std::span<const double> heat);
 
 }  // namespace aa

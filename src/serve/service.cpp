@@ -294,40 +294,6 @@ void QueryService::publish() {
     }
     refresh_topk_counters();
 
-    if (engine_.refine_policy() == RefinePolicy::TopKPruned) {
-        // Steer refinement at the vertices that decide the top-k answer: the
-        // maintained reserves (the exact top-2k prefix, per shard when
-        // sharded) plus, when bounds are available, every outsider whose
-        // upper bound still reaches into them. A scheduling hint only — the
-        // focus never changes what converges.
-        std::vector<VertexId> focus;
-        double weakest_lo = kInfinity;
-        const auto add_reserve = [&](const IncrementalTopK& tracker) {
-            for (const TopKEntry& e : tracker.reserve()) {
-                focus.push_back(e.vertex);
-                if (frozen->has_bounds && e.vertex < frozen->bound_lo.size()) {
-                    weakest_lo =
-                        std::min(weakest_lo, frozen->bound_lo[e.vertex]);
-                }
-            }
-        };
-        if (config_.shard_reads) {
-            for (const IncrementalTopK& tracker : shard_trackers_) {
-                add_reserve(tracker);
-            }
-        } else {
-            add_reserve(tracker_);
-        }
-        if (frozen->has_bounds && !focus.empty()) {
-            for (std::size_t v = 0; v < frozen->bound_hi.size(); ++v) {
-                if (frozen->bound_hi[v] > weakest_lo) {
-                    focus.push_back(static_cast<VertexId>(v));
-                }
-            }
-        }
-        engine_.set_refine_focus(focus);
-    }
-
     {
         // Empty critical section: pairs the publication with the waiters'
         // predicate re-check so no wakeup can slip between their check and

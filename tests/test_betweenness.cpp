@@ -5,7 +5,6 @@
 
 #include "graph/generators.hpp"
 #include "measures/betweenness.hpp"
-#include "measures/degree.hpp"
 
 namespace aa {
 namespace {
@@ -137,28 +136,6 @@ TEST(BetweennessEngine, AnytimeRefinementChargesTime) {
     // Refining beyond n caps at n.
     EXPECT_EQ(engine.refine(1000), 90u);
     EXPECT_TRUE(engine.exact());
-}
-
-TEST(Degree, BasicProperties) {
-    DynamicGraph g(5);
-    for (VertexId v = 1; v < 5; ++v) {
-        g.add_edge(0, v, 2.0);
-    }
-    EXPECT_EQ(degree_centrality(g)[0], 4u);
-    EXPECT_EQ(degree_centrality(g)[1], 1u);
-    EXPECT_NEAR(normalized_degree_centrality(g)[0], 1.0, 1e-12);
-    EXPECT_NEAR(strength_centrality(g)[0], 8.0, 1e-12);
-    EXPECT_EQ(degree_ranking(g)[0], 0u);
-    // A star maximizes Freeman centralization.
-    EXPECT_NEAR(degree_centralization(g), 1.0, 1e-12);
-}
-
-TEST(Degree, RegularGraphZeroCentralization) {
-    DynamicGraph g(6);
-    for (VertexId v = 0; v < 6; ++v) {
-        g.add_edge(v, (v + 1) % 6);
-    }
-    EXPECT_NEAR(degree_centralization(g), 0.0, 1e-12);
 }
 
 }  // namespace

@@ -31,9 +31,7 @@ namespace {
 // ---------------------------------------------------------------------------
 
 TEST(RefinePlanner, PolicyNamesRoundTripThroughParse) {
-    for (const RefinePolicy policy :
-         {RefinePolicy::Uniform, RefinePolicy::QueryHeat,
-          RefinePolicy::TopKPruned}) {
+    for (const RefinePolicy policy : {RefinePolicy::Uniform, RefinePolicy::QueryHeat}) {
         RefinePolicy parsed{};
         ASSERT_TRUE(parse_refine_policy(refine_policy_name(policy), parsed));
         EXPECT_EQ(parsed, policy);
@@ -46,7 +44,75 @@ TEST(RefinePlanner, ParseRejectsUnknownSpellingsUntouched) {
     EXPECT_FALSE(parse_refine_policy("query-heat", policy));
     EXPECT_FALSE(parse_refine_policy("", policy));
     EXPECT_FALSE(parse_refine_policy("top-k", policy));
+    EXPECT_FALSE(parse_refine_policy("topk", policy));
     EXPECT_EQ(policy, RefinePolicy::QueryHeat);  // left untouched on failure
+}
+
+// Rank `rank`'s sub-graph of a fixed 30-vertex graph (a ring plus chords),
+// vertices dealt to three ranks by v % 3.
+LocalSubgraph heat_order_subgraph(RankId rank) {
+    constexpr VertexId kN = 30;
+    std::vector<RankId> owners(kN);
+    for (VertexId v = 0; v < kN; ++v) {
+        owners[v] = v % 3;
+    }
+    LocalSubgraph sg(rank, owners);
+    std::vector<std::pair<VertexId, VertexId>> edges;
+    const auto add = [&](VertexId u, VertexId v) {
+        if (u == v) {
+            return;
+        }
+        const std::pair<VertexId, VertexId> e = std::minmax(u, v);
+        if (std::find(edges.begin(), edges.end(), e) == edges.end()) {
+            edges.push_back(e);
+        }
+    };
+    for (VertexId v = 0; v < kN; ++v) {
+        add(v, (v + 1) % kN);
+        if (v % 2 == 0) {
+            add(v, (v * 7 + 3) % kN);
+        }
+    }
+    for (const auto& [u, v] : edges) {
+        if (owners[u] == rank || owners[v] == rank) {
+            sg.add_local_edge(u, v, 1.0);
+        }
+    }
+    return sg;
+}
+
+TEST(RefinePlanner, HeatOrderMatchesGolden) {
+    // Golden sweep orders (heat-then-id): the order perfbench's serve
+    // workload runs under QueryHeat. The spread heat covers vertices 0..27
+    // only, so 28 and 29 read as cold; the lone hot vertex leaves rows more
+    // than four hops away tied at zero, in ascending LocalId order.
+    std::vector<double> spread(28, 0.0);
+    spread[4] = 3.0;
+    spread[11] = 1.0;
+    spread[17] = 1.0;
+    spread[25] = 0.5;
+    spread[27] = 2.0;
+    std::vector<double> lone(30, 0.0);
+    lone[0] = 1.0;
+    const std::vector<std::vector<LocalId>> golden_spread = {
+        {9, 1, 4, 0, 6, 3, 8, 7, 2, 5},
+        {1, 0, 9, 8, 5, 3, 6, 4, 2, 7},
+        {1, 8, 3, 5, 0, 4, 2, 6, 7, 9},
+    };
+    const std::vector<std::vector<LocalId>> golden_lone = {
+        {0, 1, 2, 3, 4, 5, 6, 7, 8, 9},
+        {0, 1, 2, 3, 4, 5, 6, 7, 8, 9},
+        {9, 2, 0, 1, 3, 4, 5, 6, 7, 8},
+    };
+    for (RankId r = 0; r < 3; ++r) {
+        const LocalSubgraph sg = heat_order_subgraph(r);
+        EXPECT_EQ(plan_rank_order(sg, spread), golden_spread[r]) << "rank " << r;
+        EXPECT_EQ(plan_rank_order(sg, lone), golden_lone[r]) << "rank " << r;
+    }
+    // No positive signal: an empty plan (the historical ascending sweep).
+    const LocalSubgraph sg = heat_order_subgraph(0);
+    EXPECT_TRUE(plan_rank_order(sg, {}).empty());
+    EXPECT_TRUE(plan_rank_order(sg, std::vector<double>(30, 0.0)).empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -496,34 +562,14 @@ TEST(RefineHeat, SteeredRunConvergesToUniformValues) {
         return run_refine_scenario(policy, demand, 4, BackendKind::Sequential, false);
     };
     const RunResult uniform = run(RefinePolicy::Uniform, DemandMode::None);
-    for (const RefinePolicy policy :
-         {RefinePolicy::QueryHeat, RefinePolicy::TopKPruned}) {
-        const RunResult steered = run(policy, DemandMode::Heavy);
-        ASSERT_EQ(steered.matrix.size(), uniform.matrix.size());
-        for (std::size_t v = 0; v < uniform.matrix.size(); ++v) {
-            for (std::size_t t = 0; t < uniform.matrix[v].size(); ++t) {
-                EXPECT_NEAR(steered.matrix[v][t], uniform.matrix[v][t], 1e-9)
-                    << "d(" << v << ", " << t << ")";
-            }
+    const RunResult steered = run(RefinePolicy::QueryHeat, DemandMode::Heavy);
+    ASSERT_EQ(steered.matrix.size(), uniform.matrix.size());
+    for (std::size_t v = 0; v < uniform.matrix.size(); ++v) {
+        for (std::size_t t = 0; t < uniform.matrix[v].size(); ++t) {
+            EXPECT_NEAR(steered.matrix[v][t], uniform.matrix[v][t], 1e-9)
+                << "d(" << v << ", " << t << ")";
         }
     }
-}
-
-TEST(RefineHeat, TopKPrunedFocusStillConverges) {
-    Rng rng(33);
-    DynamicGraph g = barabasi_albert(80, 2, rng);
-    const DynamicGraph mirror = g;
-    EngineConfig config;
-    config.num_ranks = 4;
-    config.ia_threads = 1;
-    config.seed = 17;
-    config.refine_policy = RefinePolicy::TopKPruned;
-    AnytimeEngine engine(std::move(g), config);
-    engine.initialize();
-    engine.set_refine_focus({0, 3, 5, 11});
-    engine.run_to_quiescence();
-    ASSERT_TRUE(engine.quiescent());
-    expect_intervals_contain_converged(engine, mirror);
 }
 
 // ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@
 //                                     layer (answers from the latest
 //                                     published snapshot)
 //   topk [k] [policy]                 top-k closeness via the serve layer
-//   refine-policy uniform|heat|topk   RC worklist-ordering policy
+//   refine-policy uniform|heat        RC worklist-ordering policy
 //   heat <v> [weight]                 inject query heat at a vertex
 //   bounds <v>                        print the certified closeness interval
 //   shards                            print per-rank shard ownership + load
@@ -107,7 +107,7 @@ const char kHelpText[] =
     "                                    issuer of later query/topk commands\n"
     "  query <v> [policy]                point query via the serve layer\n"
     "  topk [k] [policy]                 top-k query via the serve layer\n"
-    "  refine-policy uniform|heat|topk   RC worklist-ordering policy\n"
+    "  refine-policy uniform|heat        RC worklist-ordering policy\n"
     "  heat <v> [weight]                 inject query heat at a vertex\n"
     "  bounds <v>                        print the certified closeness interval\n"
     "  shards                            print per-rank shard ownership + load\n"
@@ -679,7 +679,7 @@ struct Runner {
             if (!parse_refine_policy(name, rp)) {
                 std::fprintf(stderr,
                              "error: unknown refine policy '%s' (valid: "
-                             "uniform, heat, topk)\n",
+                             "uniform, heat)\n",
                              name.c_str());
                 return false;
             }
