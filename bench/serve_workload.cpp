@@ -24,13 +24,14 @@
 // a slice of the queries uses WaitForNextStep against those budgets, so
 // per-tenant admission control is exercised, not just the stale fast path.
 //
-// The report (--out, default BENCH_serve.json, schema v2) carries per-shape
+// The report (--out, default BENCH_serve.json, schema v3) carries per-shape
 // latency percentiles, global and per-tenant staleness distributions, shed /
 // SLO-miss counts per tenant, publication-path statistics (delta vs full,
 // rows scanned, published bytes), incremental top-k patch/rebuild counters,
-// the host's hardware concurrency, the service's own serve.* metrics
-// registry, and the publication-overhead check (bare vs idle-service
-// simulated clocks must agree — snapshot building is observer-only).
+// the host fingerprint, the counters and histograms of the service's own
+// serve.* metrics registry, and the publication-overhead check (bare vs
+// idle-service simulated clocks must agree — snapshot building is
+// observer-only).
 #include <algorithm>
 #include <array>
 #include <atomic>
@@ -51,6 +52,7 @@
 #include "core/engine.hpp"
 #include "core/strategies.hpp"
 #include "graph/generators.hpp"
+#include "harness.hpp"
 #include "serve/service.hpp"
 
 namespace aa {
@@ -409,7 +411,9 @@ WorkloadResult run_workload(const BenchOptions& opt, bool open_loop) {
     result.wall_seconds = std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - wall0)
                               .count();
-    result.metrics_json = metrics_to_json(service.metrics_copy(), 4);
+    // Counters and histograms only: one publish span per boundary would be
+    // most of the report (QueryService::metrics_copy() still holds them).
+    result.metrics_json = instruments_to_json(service.metrics_copy(), 4);
     return result;
 }
 
@@ -743,7 +747,8 @@ int main(int argc, char** argv) {
     }
 
     std::string json;
-    json += "{\n  \"bench\": \"serve_workload\",\n  \"schema\": 2,\n";
+    json += "{\n  \"bench\": \"serve_workload\",\n  \"schema\": 3,\n";
+    json += "  \"host\": " + bench::host_fingerprint_json() + ",\n";
     json += "  \"config\": {\"n\": " + std::to_string(opt.vertices) +
             ", \"ranks\": " + std::to_string(opt.ranks) +
             ", \"readers\": " + std::to_string(opt.readers) +
@@ -754,9 +759,7 @@ int main(int argc, char** argv) {
             ", \"open_qps\": " + std::to_string(opt.open_qps) +
             ", \"min_queries\": " + std::to_string(opt.min_queries) +
             ", \"open_queries\": " + std::to_string(opt.open_queries) +
-            ", \"seed\": " + std::to_string(opt.seed) +
-            ",\n             \"host_hardware_concurrency\": " +
-            std::to_string(std::thread::hardware_concurrency()) + "},\n";
+            ", \"seed\": " + std::to_string(opt.seed) + "},\n";
     char buf[512];
     std::snprintf(buf, sizeof(buf),
                   "  \"publication_overhead\": {\"sim_seconds_bare\": %.6f, "

@@ -246,12 +246,12 @@ std::string spans_to_json(std::span<const MetricSpan> spans, int indent) {
     return out;
 }
 
-std::string metrics_to_json(const MetricsRegistry& m, int indent) {
-    std::string pad(static_cast<std::size_t>(indent < 0 ? 0 : indent), ' ');
-    std::string inner = pad + "  ";
-    std::string out = "{\n";
-    out += inner + "\"enabled\": " + (m.enabled() ? "true" : "false") + ",\n";
-    out += inner + "\"spans\": " + spans_to_json(m.spans(), indent + 4) + ",\n";
+namespace {
+
+// The "counters" and "histograms" members (each on its own `inner`-indented
+// line, the last without a trailing comma) appended to `out`.
+void append_instruments(std::string& out, const MetricsRegistry& m,
+                        const std::string& inner) {
     out += inner + "\"counters\": [";
     const auto counters = m.counters();
     for (std::size_t i = 0; i < counters.size(); ++i) {
@@ -283,8 +283,26 @@ std::string metrics_to_json(const MetricsRegistry& m, int indent) {
                "}";
     }
     if (!hists.empty()) out += "\n" + inner;
-    out += "]\n" + pad + "}";
-    return out;
+    out += "]\n";
+}
+
+}  // namespace
+
+std::string metrics_to_json(const MetricsRegistry& m, int indent) {
+    std::string pad(static_cast<std::size_t>(indent < 0 ? 0 : indent), ' ');
+    std::string inner = pad + "  ";
+    std::string out = "{\n";
+    out += inner + "\"enabled\": " + (m.enabled() ? "true" : "false") + ",\n";
+    out += inner + "\"spans\": " + spans_to_json(m.spans(), indent + 4) + ",\n";
+    append_instruments(out, m, inner);
+    return out + pad + "}";
+}
+
+std::string instruments_to_json(const MetricsRegistry& m, int indent) {
+    std::string pad(static_cast<std::size_t>(indent < 0 ? 0 : indent), ' ');
+    std::string out = "{\n";
+    append_instruments(out, m, pad + "  ");
+    return out + pad + "}";
 }
 
 namespace {

@@ -160,6 +160,10 @@ std::string spans_to_json(std::span<const MetricSpan> spans, int indent = 2);
 /// "histograms":[...]}.
 std::string metrics_to_json(const MetricsRegistry& m, int indent = 0);
 
+/// The same dump without `enabled` and `spans`: {"counters":[...],
+/// "histograms":[...]}. For summaries whose span stream would dwarf them.
+std::string instruments_to_json(const MetricsRegistry& m, int indent = 0);
+
 /// CSV with header `name,rank,step,depth,parent,t_begin,t_end,ops,bytes,
 /// messages,attrs`; attrs is `k=v;k=v` with %-escaping of the delimiter
 /// characters. Lossless: `spans_from_csv(spans_to_csv(s)) == s`.

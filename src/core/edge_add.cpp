@@ -283,11 +283,27 @@ void AnytimeEngine::anywhere_add(const GrowthBatch& batch,
     note_structural_change();
 }
 
+void AnytimeEngine::apply_edge_updates(std::span<const DirectedEdgeUpdate> updates) {
+    const auto num_ranks = cluster_->num_ranks();
+    double dynamic_ops = broadcast_edge_updates(updates);
+    std::vector<double> prop_ops(num_ranks, 0);
+    run_rank_phase([&](RankId r, std::vector<MetricSpan>&) {
+        const double ops =
+            rc_propagate_local(ranks_[r].sg, ranks_[r].store, kernel_pool());
+        cluster_->charge_compute(r, ops);
+        prop_ops[r] = ops;
+    });
+    for (RankId r = 0; r < num_ranks; ++r) {
+        dynamic_ops += prop_ops[r];
+    }
+    cluster_->barrier();
+    report_.dynamic_ops += dynamic_ops;
+    note_structural_change();
+    fire_boundary_hook();
+}
+
 void AnytimeEngine::add_edges(std::span<const Edge> edges) {
     AA_ASSERT_MSG(initialized_, "initialize() must run before dynamic updates");
-    const auto num_ranks = cluster_->num_ranks();
-    double dynamic_ops = 0;
-
     std::vector<DirectedEdgeUpdate> updates;
     for (const Edge& e : edges) {
         AA_ASSERT(e.u < graph_.num_vertices() && e.v < graph_.num_vertices());
@@ -307,22 +323,7 @@ void AnytimeEngine::add_edges(std::span<const Edge> edges) {
         updates.push_back({e.v, e.u, e.weight});
         report_.edge_additions += 1;
     }
-    dynamic_ops += broadcast_edge_updates(updates);
-
-    std::vector<double> prop_ops(num_ranks, 0);
-    run_rank_phase([&](RankId r, std::vector<MetricSpan>&) {
-        const double ops =
-            rc_propagate_local(ranks_[r].sg, ranks_[r].store, kernel_pool());
-        cluster_->charge_compute(r, ops);
-        prop_ops[r] = ops;
-    });
-    for (RankId r = 0; r < num_ranks; ++r) {
-        dynamic_ops += prop_ops[r];
-    }
-    cluster_->barrier();
-    report_.dynamic_ops += dynamic_ops;
-    note_structural_change();
-    fire_boundary_hook();
+    apply_edge_updates(updates);
 }
 
 bool AnytimeEngine::decrease_edge_weight(VertexId u, VertexId v, Weight new_weight) {
@@ -354,21 +355,7 @@ bool AnytimeEngine::decrease_edge_weight(VertexId u, VertexId v, Weight new_weig
     }
 
     const DirectedEdgeUpdate both[] = {{u, v, new_weight}, {v, u, new_weight}};
-    double dynamic_ops = broadcast_edge_updates(both);
-    std::vector<double> prop_ops(cluster_->num_ranks(), 0);
-    run_rank_phase([&](RankId r, std::vector<MetricSpan>&) {
-        const double ops =
-            rc_propagate_local(ranks_[r].sg, ranks_[r].store, kernel_pool());
-        cluster_->charge_compute(r, ops);
-        prop_ops[r] = ops;
-    });
-    for (RankId r = 0; r < cluster_->num_ranks(); ++r) {
-        dynamic_ops += prop_ops[r];
-    }
-    cluster_->barrier();
-    report_.dynamic_ops += dynamic_ops;
-    note_structural_change();
-    fire_boundary_hook();
+    apply_edge_updates(both);
     return true;
 }
 

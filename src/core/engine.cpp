@@ -181,7 +181,7 @@ double AnytimeEngine::charge_partition_cost(std::size_t vertices, std::size_t ed
     const double units = static_cast<double>(vertices + edges) *
                          std::log2(static_cast<double>(std::max<std::size_t>(vertices, 2)));
     const double per_rank =
-        config_.partition_cost_factor * units / static_cast<double>(num_ranks());
+        kPartitionCostFactor * units / static_cast<double>(num_ranks());
     for (RankId r = 0; r < cluster_->num_ranks(); ++r) {
         cluster_->charge_compute(r, per_rank);
     }

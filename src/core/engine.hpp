@@ -63,11 +63,15 @@ enum class RepartitionMode {
     Adaptive,
 };
 
-/// SSSP kernel used by the IA phase (and Repartition-S row seeding).
+/// SSSP kernel used by the IA phase.
 enum class IaKernel {
     Dijkstra,       // binary-heap Dijkstra (the paper's choice)
     DeltaStepping,  // Meyer-Sanders delta-stepping (alternative HPC kernel)
 };
+
+/// Abstract ops charged per (vertex + edge) * log2(n) unit of multilevel
+/// partitioning work (calibrates DD/Repartition cost vs. METIS).
+inline constexpr double kPartitionCostFactor = 8.0;
 
 struct EngineConfig {
     /// Number of simulated processors (the paper evaluates with 16).
@@ -98,9 +102,6 @@ struct EngineConfig {
     MultilevelConfig partition{};
     /// Seed for the partitioner and any stochastic strategy components.
     std::uint64_t seed{0x5EED};
-    /// Abstract ops charged per (vertex + edge) * log2(n) unit of multilevel
-    /// partitioning work (calibrates DD/Repartition cost vs. METIS).
-    double partition_cost_factor{8.0};
     /// Repartition-S variant (see RepartitionMode).
     RepartitionMode repartition_mode{RepartitionMode::Scratch};
     /// Closeness formula (Wasserman–Faust corrected vs. the paper's raw
@@ -373,7 +374,6 @@ public:
     void set_refine_policy(RefinePolicy policy) {
         config_.refine_policy = policy;
     }
-    void set_refine_budget_ops(double ops) { config_.refine_budget_ops = ops; }
     /// Toggle planner-driven migration at RC-step boundaries (scenario
     /// tooling; construction-time config everywhere else).
     void set_auto_migrate(bool on) { config_.auto_migrate = on; }
@@ -509,6 +509,10 @@ private:
     /// must already be in the graph and the rank subgraphs. Returns the ops
     /// charged.
     double broadcast_edge_updates(std::span<const DirectedEdgeUpdate> updates);
+    /// The shared tail of add_edges and decrease_edge_weight: broadcast
+    /// `updates`, propagate every rank to its local fixpoint, barrier, then
+    /// account the ops and close the structural change.
+    void apply_edge_updates(std::span<const DirectedEdgeUpdate> updates);
 
     DynamicGraph graph_;  // ground-truth mirror of the distributed graph
     EngineConfig config_;

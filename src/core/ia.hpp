@@ -1,8 +1,7 @@
 // Initial approximation (IA): multithreaded Dijkstra on the local sub-graph.
 //
 // Each rank seeds its distance vectors by running Dijkstra from every owned
-// vertex over G_p = (V_p ∪ B_p, E_p) — the paper's IA phase (§IV.B). The
-// same routine seeds freshly created rows after Repartition-S.
+// vertex over G_p = (V_p ∪ B_p, E_p) — the paper's IA phase (§IV.B).
 #pragma once
 
 #include <span>

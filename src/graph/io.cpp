@@ -162,11 +162,6 @@ DynamicGraph read_pajek(std::istream& in) {
     return DynamicGraph::from_edges(edges, n);
 }
 
-DynamicGraph read_pajek_file(const std::string& path) {
-    auto in = open_input(path);
-    return read_pajek(in);
-}
-
 void write_pajek(const DynamicGraph& g, std::ostream& out) {
     out << std::setprecision(std::numeric_limits<Weight>::max_digits10);
     out << "*Vertices " << g.num_vertices() << '\n';
@@ -246,11 +241,6 @@ DynamicGraph read_metis(std::istream& in) {
     return g;
 }
 
-DynamicGraph read_metis_file(const std::string& path) {
-    auto in = open_input(path);
-    return read_metis(in);
-}
-
 void write_metis(const DynamicGraph& g, std::ostream& out) {
     out << std::setprecision(std::numeric_limits<Weight>::max_digits10);
     // Always emit weights (fmt 1): lossless for weighted graphs, harmless
@@ -267,11 +257,6 @@ void write_metis(const DynamicGraph& g, std::ostream& out) {
         }
         out << '\n';
     }
-}
-
-void write_metis_file(const DynamicGraph& g, const std::string& path) {
-    auto out = open_output(path);
-    write_metis(g, out);
 }
 
 }  // namespace aa

@@ -29,7 +29,6 @@ void write_snap_edge_list(const DynamicGraph& g, std::ostream& out);
 void write_snap_edge_list_file(const DynamicGraph& g, const std::string& path);
 
 DynamicGraph read_pajek(std::istream& in);
-DynamicGraph read_pajek_file(const std::string& path);
 void write_pajek(const DynamicGraph& g, std::ostream& out);
 void write_pajek_file(const DynamicGraph& g, const std::string& path);
 
@@ -37,8 +36,6 @@ void write_pajek_file(const DynamicGraph& g, const std::string& path);
 /// phase reimplements): header "n m [fmt]" followed by one adjacency line
 /// per vertex, 1-based ids; fmt "1" means edge weights are interleaved.
 DynamicGraph read_metis(std::istream& in);
-DynamicGraph read_metis_file(const std::string& path);
 void write_metis(const DynamicGraph& g, std::ostream& out);
-void write_metis_file(const DynamicGraph& g, const std::string& path);
 
 }  // namespace aa

@@ -20,6 +20,10 @@ constexpr std::array<double, 10> kStalenessWallBounds{
     1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1, 3e-1, 1.0, 3.0};
 constexpr std::array<double, 6> kStalenessVersionBounds{0, 1, 2, 4, 8, 16};
 
+// Churn fraction above which the incremental top-k rebuilds instead of
+// patching (see IncrementalTopK); identical entries either way.
+constexpr double kTopkRebuildChurn = 0.5;
+
 }  // namespace
 
 std::string_view freshness_policy_name(FreshnessPolicy policy) {
@@ -36,7 +40,7 @@ QueryService::QueryService(AnytimeEngine& engine, ServeConfig config)
     : engine_(engine),
       config_(config),
       epoch_(std::chrono::steady_clock::now()),
-      tracker_(config.topk_maintained, config.topk_rebuild_churn) {
+      tracker_(config.topk_maintained, kTopkRebuildChurn) {
     if (config_.enable_metrics) {
         metrics_.enable();
         latency_point_ = metrics_.histogram("serve.latency.point", kLatencyBounds);
@@ -183,8 +187,7 @@ void QueryService::update_shard_planes(
             shard_members_[s].push_back(static_cast<VertexId>(v));
         }
         while (shard_trackers_.size() < num_planes) {
-            shard_trackers_.emplace_back(config_.topk_maintained,
-                                         config_.topk_rebuild_churn);
+            shard_trackers_.emplace_back(config_.topk_maintained, kTopkRebuildChurn);
         }
         for (IncrementalTopK& tracker : shard_trackers_) {
             tracker.reset();

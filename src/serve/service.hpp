@@ -174,8 +174,6 @@ struct ServeConfig {
     /// shedding (TenantConfig::max_pending of tenant 0; additional tenants
     /// bring their own).
     std::size_t max_pending{64};
-    /// Policy used by the no-policy query overloads.
-    FreshnessPolicy default_policy{FreshnessPolicy::ServeStale};
     /// Record serve.* metrics (histograms, counters, publish spans).
     bool enable_metrics{true};
     /// Capture certified closeness intervals (refine/bounds.hpp) into every
@@ -199,9 +197,6 @@ struct ServeConfig {
     /// monotone reads); off = every read goes through the single global
     /// snapshot slot.
     bool shard_reads{true};
-    /// Churn fraction above which the incremental top-k rebuilds instead of
-    /// patching (see IncrementalTopK); identical entries either way.
-    double topk_rebuild_churn{0.5};
 };
 
 /// Response metadata shared by every query shape.
@@ -305,7 +300,7 @@ public:
         return point(v, policy, kDefaultTenant);
     }
     PointResult point(VertexId v) {
-        return point(v, config_.default_policy, kDefaultTenant);
+        return point(v, FreshnessPolicy::ServeStale, kDefaultTenant);
     }
     BatchResult batch(std::span<const VertexId> vertices,
                       FreshnessPolicy policy, TenantId tenant);
@@ -314,14 +309,14 @@ public:
         return batch(vertices, policy, kDefaultTenant);
     }
     BatchResult batch(std::span<const VertexId> vertices) {
-        return batch(vertices, config_.default_policy, kDefaultTenant);
+        return batch(vertices, FreshnessPolicy::ServeStale, kDefaultTenant);
     }
     TopKResult topk(std::size_t k, FreshnessPolicy policy, TenantId tenant);
     TopKResult topk(std::size_t k, FreshnessPolicy policy) {
         return topk(k, policy, kDefaultTenant);
     }
     TopKResult topk(std::size_t k) {
-        return topk(k, config_.default_policy, kDefaultTenant);
+        return topk(k, FreshnessPolicy::ServeStale, kDefaultTenant);
     }
 
     /// The latest snapshot (wait-free; null before the first publication).

@@ -91,8 +91,8 @@ public:
     /// O(n) rebuild is cheaper than sorting a candidate set of nearly n, so
     /// apply() rebuilds outright (entries are bit-identical either way —
     /// the threshold moves work, never results). 1.0 restores the historical
-    /// always-try-to-patch behaviour; ServeConfig::topk_rebuild_churn is the
-    /// service-level knob.
+    /// always-try-to-patch behaviour; QueryService passes its
+    /// kTopkRebuildChurn.
     explicit IncrementalTopK(std::size_t k, double rebuild_churn = 1.0);
 
     /// Advance to `snapshot`. Patches when the snapshot is the direct

@@ -732,7 +732,7 @@ TEST(Serve, DeltaVsFullLatticeBitIdentical) {
 }
 
 TEST(Serve, TopkChurnThresholdBoundary) {
-    // Pin the ServeConfig::topk_rebuild_churn boundary exactly: churn
+    // Pin the IncrementalTopK rebuild_churn boundary exactly: churn
     // strictly below the threshold patches, churn at the threshold rebuilds
     // — with bit-identical entries either way.
     const std::size_t n = 10;

@@ -207,6 +207,11 @@ TEST(MetricsExport, RegistryJsonContainsEverything) {
     EXPECT_NE(json.find("\"threads\":\"4\""), std::string::npos);
     EXPECT_NE(json.find("\"sent\""), std::string::npos);
     EXPECT_NE(json.find("\"sizes\""), std::string::npos);
+
+    // The instruments-only dump is the same text minus `enabled` and `spans`.
+    const std::string instruments = instruments_to_json(m, 2);
+    EXPECT_EQ(instruments, "{\n" + json.substr(json.find("    \"counters\"")));
+    EXPECT_EQ(instruments.find("\"spans\""), std::string::npos);
 }
 
 // ---- engine integration ----------------------------------------------------
